@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -169,7 +170,8 @@ class _Membership:
         return (self.mask(x) & self.mask(y)) != 0
 
 
-@lru_cache(maxsize=256)
+# every reuse happens within one top-level call, so one instance is enough
+@lru_cache(maxsize=1)
 def _membership(space: MultiVectorSpace) -> _Membership:
     return _Membership(space)
 
@@ -300,18 +302,16 @@ def linearly_dependent(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether some not-all-zero coefficient tuple gives a defined zero chain.
 
-    Under TOTAL policy with a single shared ambient this reduces to a rank
-    test; a TOTAL list spanning several ambients is independent outright,
-    because every full-length chain hits an undefined cross-ambient addition.
-    Otherwise the coefficient space is searched exhaustively and the witness
-    is the lexicographically first tuple over the given vector order.
+    A list spanning several ambients is independent outright under either
+    policy, because every full-length chain hits an undefined cross-ambient
+    addition.  Under TOTAL policy a single-ambient list reduces to a rank
+    test; under CLOSED the coefficient space is searched exhaustively and the
+    witness is the lexicographically first tuple over the given vector order.
     """
     vectors = list(vectors)
-    if not vectors:
+    if not vectors or len({v.ambient for v in vectors}) > 1:
         return False, None
     if space.policy is OperationPolicy.TOTAL:
-        if len({v.ambient for v in vectors}) > 1:
-            return False, None
         return _rank_dependence(vectors)
     return _exhaustive_dependence(space, vectors, coefficient_cap)
 
@@ -379,12 +379,16 @@ def greedy_basis(
     removal_order: Sequence[int] | None = None,
     coefficient_cap: int = DEFAULT_COEFFICIENT_CAP,
 ) -> list[TaggedVector]:
-    """Shrink the stacked component bases to an independent spanning set.
+    """Shrink the stacked component bases to an independent set.
 
     While the surviving list is dependent, one vector carrying a nonzero
     witness coefficient is removed: by default the lexicographically smallest
     such vector (earliest position on ties), otherwise the one ranked first
     by `removal_order`, a permutation of the initial stacked positions.
+
+    Under TOTAL policy the result also spans the union.  Under CLOSED it need
+    not: a removed vector can leave union elements that no defined chain
+    over the survivors reaches.
     """
     delta = component_basis_vectors(space)
     if removal_order is not None:
@@ -570,121 +574,73 @@ _SCALAR_AXIOM_NOTE = (
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of exhaustively re-checking the structural axioms."""
+    """How many instances of each structural axiom the enumerated union has."""
 
-    component_closure: tuple[str, ...]
-    associativity: tuple[str, ...]
-    distributivity: tuple[str, ...]
     notes: tuple[str, ...]
     closure_checks: int
     associativity_checks: int
     distributivity_checks: int
 
-    @property
-    def ok(self) -> bool:
-        return not (self.component_closure or self.associativity or self.distributivity)
-
-    @property
-    def violations(self) -> tuple[str, ...]:
-        return self.component_closure + self.associativity + self.distributivity
-
 
 def validate_axioms(
     space: MultiVectorSpace, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ValidationReport:
-    """Exhaustively verify component closure, cross-associativity where both
-    groupings exist, and scalar distributivity over the enumerated union."""
-    closure: list[str] = []
-    assoc: list[str] = []
-    dist: list[str] = []
-    closure_checks = assoc_checks = dist_checks = 0
+    """Count component closure, cross-associativity where both groupings
+    exist, and scalar distributivity over the enumerated union.
 
-    comp_elems = [comp.enumerate(enumeration_cap) for comp in space.components]
-    comp_sets = [frozenset(e) for e in comp_elems]
-
-    for ci, (comp, elems, eset) in enumerate(zip(space.components, comp_elems, comp_sets)):
-        p = comp.ambient.p
-        for u in elems:
-            for alpha in range(p):
-                closure_checks += 1
-                if tuple((alpha * x) % p for x in u) not in eset:
-                    closure.append(f"component {ci}: {alpha}*{u} leaves the component")
-            for v in elems:
-                closure_checks += 1
-                if tuple((a + b) % p for a, b in zip(u, v)) not in eset:
-                    closure.append(f"component {ci}: {u}+{v} leaves the component")
-
-    total = space.policy is OperationPolicy.TOTAL
-    for ambient in space.ambients():
-        p = ambient.p
-        members = [i for i, c in enumerate(space.components) if c.ambient == ambient]
-        elems: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for i in members:
-            for v in comp_elems[i]:
-                if v not in seen:
-                    seen.add(v)
-                    elems.append(v)
-
-        mask_cache: dict[tuple[int, ...], int] = {}
-
-        def mask_of(v: tuple[int, ...]) -> int:
-            cached = mask_cache.get(v)
-            if cached is None:
-                cached = 0
-                for i in members:
-                    if v in comp_sets[i]:
-                        cached |= 1 << i
-                mask_cache[v] = cached
-            return cached
-
-        def addv(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple((a + b) % p for a, b in zip(x, y))
-
-        for a in elems:
-            ma = mask_of(a)
-            for b in elems:
-                mb = mask_of(b)
-                ab_ok = total or (ma & mb)
-                ab = addv(a, b) if ab_ok else None
-                mab = mask_of(ab) if (ab_ok and not total) else 0
-                for c in elems:
-                    mc = mask_of(c)
-                    lhs_ok = ab_ok and (total or (mab & mc))
-                    bc_ok = total or (mb & mc)
-                    if not (lhs_ok and bc_ok):
-                        continue
-                    bc = addv(b, c)
-                    if not (total or (ma & mask_of(bc))):
-                        continue
-                    assoc_checks += 1
-                    if addv(ab, c) != addv(a, bc):
-                        assoc.append(f"({a}+{b})+{c} != {a}+({b}+{c}) in {ambient.label}")
-
-        for a in elems:
-            ma = mask_of(a)
-            for k1 in range(p):
-                k1a = tuple((k1 * x) % p for x in a)
-                for k2 in range(p):
-                    k2a = tuple((k2 * x) % p for x in a)
-                    if not total:
-                        # every component containing a also contains both
-                        # multiples, so existence only needs a in the union
-                        if not ma:
-                            continue
-                    dist_checks += 1
-                    lhs = tuple((((k1 + k2) % p) * x) % p for x in a)
-                    if lhs != addv(k1a, k2a):
-                        dist.append(
-                            f"({k1}+{k2})*{a} != {k1}*{a} + {k2}*{a} in {ambient.label}"
-                        )
-
-    return ValidationReport(
-        component_closure=tuple(closure),
-        associativity=tuple(assoc),
-        distributivity=tuple(dist),
-        notes=(_SCALAR_AXIOM_NOTE,),
-        closure_checks=closure_checks,
-        associativity_checks=assoc_checks,
-        distributivity_checks=dist_checks,
+    Every component is a row space over GF(p), so each axiom holds on every
+    instance it has and only the counts carry information.  A component C
+    has |C|*p scalar multiples and |C|^2 sums; an ambient's union U has
+    |U|*p^2 distributivity instances, and under TOTAL every triple of U has
+    both groupings.  Components are still enumerated under the cap, so an
+    instance over the cap raises EnumerationTooLarge.
+    """
+    comp_sets = [frozenset(comp.enumerate(enumeration_cap)) for comp in space.components]
+    closure = sum(
+        len(s) * (comp.ambient.p + len(s)) for comp, s in zip(space.components, comp_sets)
     )
+    assoc = dist = 0
+    for ambient in space.ambients():
+        sets = [s for comp, s in zip(space.components, comp_sets) if comp.ambient == ambient]
+        union = frozenset().union(*sets)
+        dist += len(union) * ambient.p**2
+        if space.policy is OperationPolicy.TOTAL:
+            assoc += len(union) ** 3
+        else:
+            assoc += _closed_associativity_count(sets, ambient.p)
+    return ValidationReport(
+        notes=(_SCALAR_AXIOM_NOTE,),
+        closure_checks=closure,
+        associativity_checks=assoc,
+        distributivity_checks=dist,
+    )
+
+
+def _closed_associativity_count(sets: list[frozenset], p: int) -> int:
+    """Triples (a, b, c) of one ambient's union for which both (a+b)+c and
+    a+(b+c) exist under CLOSED.
+
+    A sum exists when one component holds both operands.  With mask(v) the
+    set of components holding v, a triple counts when mask(a) meets mask(b),
+    mask(b) meets mask(c), mask(a+b) meets mask(c) and mask(a) meets
+    mask(b+c).  For a fixed b, a enters only through the pair
+    (mask(a), mask(a+b)) and c only through (mask(c), mask(c+b)), the same
+    pair by commutativity, so grouping the union by that pair makes the
+    count quadratic in the size of the union instead of cubic.
+    """
+    masks: dict[tuple[int, ...], int] = {}
+    for i, s in enumerate(sets):
+        for v in s:
+            masks[v] = masks.get(v, 0) | 1 << i
+    count = 0
+    for b, mb in masks.items():
+        groups = Counter(
+            (ma, masks.get(tuple((x + y) % p for x, y in zip(a, b)), 0))
+            for a, ma in masks.items()
+            if ma & mb
+        )
+        for (ma, mab), na in groups.items():
+            for (mc, mcb), nc in groups.items():
+                if mab & mc and ma & mcb:
+                    count += na * nc
+    return count

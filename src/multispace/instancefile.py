@@ -6,8 +6,9 @@
     space V1 in A gen 1,0; 0,1
 
 Sections appear in order: one policy line, then ambients, then spaces.
-Vectors are comma-separated residues already reduced mod p; out-of-range
-entries are rejected rather than silently reduced.
+Integers are ASCII decimal digits with an optional leading '-'.  Vectors are
+comma-separated residues already reduced mod p; out-of-range entries are
+rejected rather than silently reduced.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .fp import MAX_PRIME, FpMatrix, is_prime
 from .subspace import AmbientId, Subspace, span
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# ASCII digits only: int() would also take '+1', '1_0' and non-ASCII digits
+_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -39,10 +42,9 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 
 
 def _parse_int(text: str, lineno: int, col: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(lineno, col, f"expected an integer {what}, got {text!r}") from None
+    if not _INT_RE.match(text):
+        raise ParseError(lineno, col, f"expected an integer {what}, got {text!r}")
+    return int(text)
 
 
 def _parse_keyed(token: str, key: str, lineno: int, col: int) -> int:

@@ -12,15 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .core import (
-    ChainTerm,
-    MultiVectorSpace,
-    OperationPolicy,
-    TaggedVector,
-    evaluate_chain,
-)
+from .core import MultiVectorSpace, OperationPolicy, TaggedVector
 from .errors import EnumerationTooLarge, SearchTooLarge
-from .fp import FpScalar
 from .subspace import AmbientId, Subspace
 
 
@@ -46,13 +39,48 @@ def _rowspace(p: int, n: int, rows: list[tuple[int, ...]], cap: int) -> set[tupl
     return out
 
 
-def _component_sets(
-    space: MultiVectorSpace, cap: int
-) -> list[tuple[AmbientId, set[tuple[int, ...]]]]:
+ComponentSets = list[tuple[AmbientId, set[tuple[int, ...]]]]
+
+
+def _component_sets(space: MultiVectorSpace, cap: int) -> ComponentSets:
     return [
         (c.ambient, _rowspace(c.ambient.p, c.ambient.n, c.rows(), cap))
         for c in space.components
     ]
+
+
+def _in_some(comp_sets: ComponentSets, ambient: AmbientId, x: tuple[int, ...]) -> bool:
+    return any(amb == ambient and x in s for amb, s in comp_sets)
+
+
+def _in_common(
+    comp_sets: ComponentSets, ambient: AmbientId, x: tuple[int, ...], y: tuple[int, ...]
+) -> bool:
+    return any(amb == ambient and x in s and y in s for amb, s in comp_sets)
+
+
+def _chain_value(
+    comp_sets: ComponentSets,
+    total: bool,
+    coeffs: tuple[int, ...],
+    vectors: list[TaggedVector],
+) -> TaggedVector | None:
+    """Left-to-right value of sum(c*v), or None at the first undefined step."""
+    acc: TaggedVector | None = None
+    for c, v in zip(coeffs, vectors):
+        if not (total or _in_some(comp_sets, v.ambient, v.coords)):
+            return None
+        p = v.ambient.p
+        value = tuple((c * x) % p for x in v.coords)
+        if acc is None:
+            acc = TaggedVector(v.ambient, value)
+            continue
+        if acc.ambient != v.ambient:
+            return None
+        if not (total or _in_common(comp_sets, v.ambient, acc.coords, value)):
+            return None
+        acc = TaggedVector(v.ambient, tuple((a + b) % p for a, b in zip(acc.coords, value)))
+    return acc
 
 
 def brute_intersection(
@@ -70,7 +98,7 @@ def brute_dependent(
     vectors: list[TaggedVector],
     cfg: OracleConfig = OracleConfig(),
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Try every not-all-zero coefficient tuple through evaluate_chain."""
+    """Try every not-all-zero coefficient tuple, evaluating its chain by set lookup."""
     if not vectors:
         return False, None
     count = 1
@@ -78,13 +106,12 @@ def brute_dependent(
         count *= v.ambient.p
     if count > cfg.coefficient_cap:
         raise SearchTooLarge(f"{count} coefficient tuples exceed the cap of {cfg.coefficient_cap}")
+    comp_sets = _component_sets(space, cfg.enumeration_cap)
+    total = space.policy is OperationPolicy.TOTAL
     for coeffs in product(*(range(v.ambient.p) for v in vectors)):
         if not any(coeffs):
             continue
-        terms = [
-            ChainTerm(FpScalar(c, v.ambient.p), v) for c, v in zip(coeffs, vectors)
-        ]
-        value = evaluate_chain(space, terms)
+        value = _chain_value(comp_sets, total, coeffs, vectors)
         if value is not None and value.is_zero:
             return True, coeffs
     return False, None
@@ -102,17 +129,9 @@ def brute_span(
     comp_sets = _component_sets(space, cfg.enumeration_cap)
     total = space.policy is OperationPolicy.TOTAL
 
-    def in_some(v: TaggedVector) -> bool:
-        return any(amb == v.ambient and v.coords in s for amb, s in comp_sets)
-
-    def in_common(x: TaggedVector, y: TaggedVector) -> bool:
-        return any(
-            amb == x.ambient and x.coords in s and y.coords in s for amb, s in comp_sets
-        )
-
     terms: set[TaggedVector] = set()
     for g in gens:
-        if not (total or in_some(g)):
+        if not (total or _in_some(comp_sets, g.ambient, g.coords)):
             continue
         p = g.ambient.p
         for alpha in range(p):
@@ -126,7 +145,7 @@ def brute_span(
             for t in terms:
                 if s.ambient != t.ambient:
                     continue
-                if not (total or in_common(s, t)):
+                if not (total or _in_common(comp_sets, s.ambient, s.coords, t.coords)):
                     continue
                 p = s.ambient.p
                 u = TaggedVector(
@@ -139,7 +158,7 @@ def brute_span(
                         raise EnumerationTooLarge(
                             f"closure exceeds the enumeration cap of {cfg.enumeration_cap}"
                         )
-    return {v for v in reachable if in_some(v)}
+    return {v for v in reachable if _in_some(comp_sets, v.ambient, v.coords)}
 
 
 def brute_subspace_check(
@@ -163,23 +182,19 @@ def brute_subspace_check(
     parent_sets = _component_sets(parent, cfg.enumeration_cap)
     total = parent.policy is OperationPolicy.TOTAL
 
-    for v in union:
-        if not any(amb == v.ambient and v.coords in s for amb, s in parent_sets):
-            return False
-
-    def in_common(x: tuple[int, ...], y: tuple[int, ...], ambient: AmbientId) -> bool:
-        return any(amb == ambient and x in s and y in s for amb, s in parent_sets)
+    if not all(_in_some(parent_sets, v.ambient, v.coords) for v in union):
+        return False
 
     for a in union:
         p = a.ambient.p
-        if not (total or any(amb == a.ambient and a.coords in s for amb, s in parent_sets)):
+        if not (total or _in_some(parent_sets, a.ambient, a.coords)):
             continue
         for alpha in range(p):
             t = tuple((alpha * x) % p for x in a.coords)
             for b in union:
                 if b.ambient != a.ambient:
                     continue
-                if not (total or in_common(t, b.coords, a.ambient)):
+                if not (total or _in_common(parent_sets, a.ambient, t, b.coords)):
                     continue
                 u = TaggedVector(a.ambient, tuple((x + y) % p for x, y in zip(t, b.coords)))
                 if u not in union:

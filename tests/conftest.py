@@ -58,3 +58,57 @@ def three_lines_gf2() -> MultiVectorSpace:
         ),
         OperationPolicy.TOTAL,
     )
+
+
+def brute_axiom_counts(space: MultiVectorSpace) -> tuple[int, int, int]:
+    """(closure, associativity, distributivity) check counts by enumeration.
+
+    Walks every scalar multiple and sum inside each component, every triple
+    of one ambient's union whose two groupings both exist under the policy,
+    and every (k1, k2, a) with a in the union, asserting each axiom as it
+    counts it.
+    """
+    closed = space.policy is OperationPolicy.CLOSED
+    comp_sets = [(c.ambient, set(c.enumerate(729))) for c in space.components]
+
+    closure = 0
+    for ambient, elems in comp_sets:
+        p = ambient.p
+        for u in elems:
+            for alpha in range(p):
+                assert tuple((alpha * x) % p for x in u) in elems
+                closure += 1
+            for v in elems:
+                assert tuple((x + y) % p for x, y in zip(u, v)) in elems
+                closure += 1
+
+    assoc = dist = 0
+    for ambient in space.ambients():
+        p = ambient.p
+        union = [v.coords for v in union_elements(space) if v.ambient == ambient]
+
+        def add(x, y):
+            return tuple((a + b) % p for a, b in zip(x, y))
+
+        def exists(x, y):
+            return not closed or any(
+                amb == ambient and x in s and y in s for amb, s in comp_sets
+            )
+
+        for a in union:
+            for b in union:
+                if not exists(a, b):
+                    continue
+                ab = add(a, b)
+                for c in union:
+                    if exists(ab, c) and exists(b, c) and exists(a, add(b, c)):
+                        assert add(ab, c) == add(a, add(b, c))
+                        assoc += 1
+            for k1 in range(p):
+                for k2 in range(p):
+                    lhs = tuple((((k1 + k2) % p) * x) % p for x in a)
+                    k1a = tuple((k1 * x) % p for x in a)
+                    k2a = tuple((k2 * x) % p for x in a)
+                    assert lhs == add(k1a, k2a)
+                    dist += 1
+    return closure, assoc, dist

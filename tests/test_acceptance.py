@@ -31,6 +31,7 @@ from multispace import (
     greedy_basis,
     is_multi_subspace,
     linearly_dependent,
+    parse_instance,
     random_instance,
     rref,
     span,
@@ -158,6 +159,25 @@ def test_criterion_5_basis_existence():
             if dependent or not union_elements(instance) <= spanned:
                 failures += 1
             checked += 1
+    # recorded, not asserted: under CLOSED the greedy basis is independent
+    # but need not span the union (this is draw 200 of seed 13 with
+    # max_components=6, max_ambient_dim=5 under CLOSED)
+    instance = parse_instance(
+        "policy CLOSED\n"
+        "ambient A p=3 n=4\n"
+        "space V1 in A gen 1,0,2,1; 0,1,1,2\n"
+        "space V2 in A gen 1,0,0,2; 0,1,0,1; 0,0,1,1\n"
+        "space V3 in A gen 1,0,1,2; 0,1,0,0\n"
+        "space V4 in A gen 1,0,0,2; 0,1,0,1; 0,0,1,2\n"
+    )
+    basis = greedy_basis(instance)
+    coords = [v.coords for v in basis]
+    assert coords == [(1, 0, 2, 1), (0, 1, 1, 2), (1, 0, 1, 2), (1, 0, 0, 2)]
+    assert brute_dependent(instance, basis, oracle_cfg) == (False, None)
+    union = union_elements(instance)
+    missed = len(union - brute_span(instance, basis, oracle_cfg))
+    print(f"[RECORDED] criterion 5 under CLOSED: GF(3)^4 with 4 components, "
+          f"independent greedy basis {coords} misses {missed} of {len(union)} union elements")
     report(5, failures == 0,
            f"greedy basis brute-independent and brute-spanning on {checked} "
            f"random instances (both policies), {failures} failures")

@@ -28,6 +28,54 @@ space V3 in A gen 1,1
 
 MINIMAL = "policy TOTAL\nambient A p=2 n=2\nspace V1 in A gen 1,0\n"
 
+VALIDATE_NOTE = (
+    "scalar axiom checked in its distributive reading (k1+k2)*a = k1*a + k2*a; "
+    "the reading that adds a scalar to a vector is not well-typed for "
+    "coordinate vectors and is recorded here instead of being checked"
+)
+
+VALIDATE_FIXTURES = {
+    "gf2_three": (
+        "policy TOTAL\nambient A p=2 n=3\n"
+        "space V1 in A gen 1,0,0; 0,1,0\n"
+        "space V2 in A gen 0,1,0; 0,0,1\n"
+        "space V3 in A gen 1,1,1\n"
+    ),
+    "gf3_lines": (
+        "policy CLOSED\nambient A p=3 n=2\n"
+        "space V1 in A gen 1,0\n"
+        "space V2 in A gen 1,1\n"
+        "space V3 in A gen 1,2\n"
+    ),
+    "two_ambients": (
+        "policy TOTAL\nambient A p=2 n=2\nambient B p=3 n=2\n"
+        "space V1 in A gen 1,0\n"
+        "space V2 in A gen 0,1; 1,1\n"
+        "space V3 in B gen 1,2\n"
+        "space V4 in B gen 0,1\n"
+    ),
+    # under CLOSED, (e1 + e2) + e3 exists (in V3) but e1 + (e2 + e3) does not
+    "gf2_planes": (
+        "policy CLOSED\nambient A p=2 n=3\n"
+        "space V1 in A gen 1,0,0; 0,1,0\n"
+        "space V2 in A gen 0,1,0; 0,0,1\n"
+        "space V3 in A gen 1,1,0; 0,0,1\n"
+    ),
+}
+
+# (closure, associativity, distributivity) check counts printed by
+# `multispace validate` when the checks were still enumerated one by one
+VALIDATE_RECORDED = [
+    ("gf2_three", "TOTAL", (56, 343, 28)),
+    ("gf2_three", "CLOSED", (56, 127, 28)),
+    ("gf3_lines", "TOTAL", (54, 343, 63)),
+    ("gf3_lines", "CLOSED", (54, 79, 63)),
+    ("two_ambients", "TOTAL", (68, 189, 61)),
+    ("two_ambients", "CLOSED", (68, 117, 61)),
+    ("gf2_planes", "TOTAL", (72, 343, 28)),
+    ("gf2_planes", "CLOSED", (72, 169, 28)),
+]
+
 
 class TestParseInstance:
     def test_minimal_file(self):
@@ -123,6 +171,22 @@ class TestParseInstance:
         assert err.value.line == 3
         assert err.value.col == 20
 
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [
+            ("policy TOTAL\nambient A p=+3 n=2\n", 2, 13),
+            ("policy TOTAL\nambient A p=1_1 n=2\n", 2, 13),
+            ("policy TOTAL\nambient A p=３ n=2\n", 2, 13),
+            ("policy TOTAL\nambient A p=2 n=2\nspace V in A gen ١,0\n", 3, 18),
+            ("policy TOTAL\nambient A p=2 n=2\nspace V in A gen 1, +1\n", 3, 21),
+        ],
+    )
+    def test_integers_are_ascii_digits(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert "expected an integer" in str(err.value)
+
     def test_malformed_battery_never_crashes(self):
         bad = [
             "",
@@ -194,6 +258,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("components=1 policy=TOTAL\n")
         assert "valid=yes" in out
+
+    @pytest.mark.parametrize("name,policy,counts", VALIDATE_RECORDED)
+    def test_validate_recorded(self, tmp_path, capsys, name, policy, counts):
+        path = tmp_path / f"{name}.ms"
+        path.write_text(VALIDATE_FIXTURES[name])
+        assert main(["validate", "--policy", policy, str(path)]) == 0
+        captured = capsys.readouterr()
+        closure, assoc, dist = counts
+        components = VALIDATE_FIXTURES[name].count("\nspace ")
+        assert captured.out == (
+            f"components={components} policy={policy}\n"
+            f"component-closure=ok checks={closure}\n"
+            f"cross-associativity=ok checks={assoc}\n"
+            f"scalar-distributivity=ok checks={dist}\n"
+            f"note: {VALIDATE_NOTE}\n"
+            "valid=yes\n"
+        )
+        assert captured.err == ""
 
     def test_policy_override(self, three_lines_file, capsys):
         assert main(["dim", "--policy", "CLOSED", three_lines_file]) == 0

@@ -34,6 +34,7 @@ from multispace import (
     zero_vector,
 )
 from conftest import (
+    brute_axiom_counts,
     line_space,
     random_one_ambient_instance,
     random_subspace,
@@ -183,6 +184,15 @@ class TestLinearlyDependent:
         m = MultiVectorSpace((full_subspace(GF2), full_subspace(GF2_B)), CLOSED)
         vectors = [tv(GF2, 1, 0), tv(GF2_B, 1, 0)]
         assert linearly_dependent(m, vectors) == (False, None)
+
+    def test_closed_mixed_ambients_independent_past_the_cap(self):
+        # 101^4 coefficient tuples exceed the search cap, but no full chain
+        # across two ambients is defined, so nothing needs searching
+        a, b = AmbientId("A", 101, 2), AmbientId("B", 101, 2)
+        m = MultiVectorSpace((full_subspace(a), full_subspace(b)), CLOSED)
+        stacked = component_basis_vectors(m)
+        assert linearly_dependent(m, stacked) == (False, None)
+        assert greedy_basis(m) == stacked
 
     def test_closed_witness_is_lex_first(self):
         m = MultiVectorSpace((full_subspace(GF2),), CLOSED)
@@ -451,26 +461,46 @@ class TestAdditiveFormula:
             additive_formula_check(m1, m2)
 
 
+def axiom_counts(report):
+    return (report.closure_checks, report.associativity_checks, report.distributivity_checks)
+
+
 class TestValidateAxioms:
     def test_single_component_valid(self):
         report = validate_axioms(MultiVectorSpace((full_subspace(GF3),), TOTAL))
-        assert report.ok
-        assert report.violations == ()
+        # 9 elements: 9*(3 + 9) closure, 9^3 triples, 9*3^2 distributivity
+        assert axiom_counts(report) == (108, 729, 81)
 
     def test_two_components_one_ambient_total(self):
         m = MultiVectorSpace((line_space(GF2, (1, 0)), line_space(GF2, (0, 1))), TOTAL)
         report = validate_axioms(m)
-        assert report.ok
-        assert report.associativity_checks > 0
+        # union {00, 10, 01}: every one of its 27 triples has both groupings
+        assert axiom_counts(report) == (16, 27, 12)
 
     def test_distinct_ambients_closed_vacuous(self):
         m = MultiVectorSpace((full_subspace(GF2), full_subspace(GF2_B)), CLOSED)
         report = validate_axioms(m)
-        assert report.ok
+        # no triple mixes ambients: 4^3 per plane
+        assert axiom_counts(report) == (48, 128, 32)
 
     def test_note_always_present(self):
         report = validate_axioms(MultiVectorSpace((zero_subspace(GF2),), TOTAL))
         assert len(report.notes) == 1
+
+    def test_counts_match_enumeration(self):
+        rng = random.Random(457)
+        for policy in (TOTAL, CLOSED):
+            for _ in range(40):
+                ambients = [AmbientId("A", rng.choice([2, 3]), 3)]
+                if rng.random() < 0.5:
+                    ambients.append(AmbientId("B", rng.choice([2, 3]), 2))
+                # proper subspaces, so that CLOSED sums often do not exist
+                components = tuple(
+                    random_subspace(rng, rng.choice(ambients), max_gens=2)
+                    for _ in range(rng.randint(1, 5))
+                )
+                m = MultiVectorSpace(components, policy)
+                assert axiom_counts(validate_axioms(m)) == brute_axiom_counts(m)
 
 
 class TestMultiVectorSpaceInvariants:

@@ -23,6 +23,7 @@ from multispace import (
     linearly_dependent,
     zero_vector,
 )
+from multispace import core
 from conftest import (
     line_space,
     random_one_ambient_instance,
@@ -103,6 +104,32 @@ class TestBruteDependent:
                     for _ in range(rng.randint(1, 4))
                 ]
                 assert brute_dependent(m, vectors)[0] == linearly_dependent(m, vectors)[0]
+
+
+    def test_shares_no_membership_index_with_core(self, monkeypatch):
+        rng = random.Random(113)
+        cases = []
+        for policy in (TOTAL, CLOSED):
+            for _ in range(60):
+                m = random_one_ambient_instance(rng, policy, max_dim=3)
+                ambient = m.components[0].ambient
+                vectors = [
+                    TaggedVector(
+                        ambient, tuple(rng.randrange(ambient.p) for _ in range(ambient.n))
+                    )
+                    for _ in range(rng.randint(1, 4))
+                ]
+                cases.append((m, vectors, linearly_dependent(m, vectors)))
+
+        def no_index(space):
+            raise AssertionError("the oracle used core's membership index")
+
+        monkeypatch.setattr(core, "_membership", no_index)
+        for m, vectors, fast in cases:
+            brute = brute_dependent(m, vectors)
+            assert brute[0] == fast[0]
+            if m.policy is CLOSED:
+                assert brute == fast
 
 
 class TestBruteSpan:

@@ -15,7 +15,7 @@ from multispace import (
     validate_axioms,
     zero_subspace,
 )
-from conftest import three_lines_gf2
+from conftest import brute_axiom_counts, three_lines_gf2
 
 TOTAL = OperationPolicy.TOTAL
 
@@ -39,8 +39,14 @@ class TestRandomInstance:
     def test_outputs_validate(self):
         cfg = GeneratorConfig(max_ambient_dim=3, seed=11)
         for draw in range(100):
-            report = validate_axioms(random_instance(cfg, draw))
-            assert report.ok
+            instance = random_instance(cfg, draw)
+            report = validate_axioms(instance)
+            counts = (
+                report.closure_checks,
+                report.associativity_checks,
+                report.distributivity_checks,
+            )
+            assert counts == brute_axiom_counts(instance)
 
     def test_every_ambient_has_a_nonzero_component(self):
         cfg = GeneratorConfig(seed=8)
