@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for success (a formula disagreement is a finding, not a
-failure), 1 for input errors, 2 for cap overruns.
+failure), 1 for input errors, 2 for cap overruns.  `search` skips a draw that
+hits a cap, goes on, and reports the count as `skipped=<n>` on its summary
+line when there is one.
 """
 
 from __future__ import annotations
@@ -21,16 +23,9 @@ from .core import (
     is_multi_subspace,
     validate_axioms,
 )
-from .errors import (
-    EnumerationTooLarge,
-    MultispaceError,
-    SearchTooLarge,
-    TooManyComponents,
-)
+from .errors import CapExceeded, MultispaceError
 from .instancefile import format_instance, parse_instance
 from .search import GeneratorConfig, find_formula_discrepancies
-
-_CAP_ERRORS = (EnumerationTooLarge, SearchTooLarge, TooManyComponents)
 
 
 class _UsageError(Exception):
@@ -45,7 +40,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str, policy: str | None) -> MultiVectorSpace:
-    with open(path, encoding="utf-8") as handle:
+    # newline="" hands the parser the file's own line ends, so a file and a
+    # string are held to the same grammar
+    with open(path, encoding="utf-8", newline="") as handle:
         instance = parse_instance(handle.read())
     if policy is not None:
         instance = replace(instance, policy=OperationPolicy(policy))
@@ -111,7 +108,8 @@ def _cmd_search(args) -> int:
         )
         print(format_instance(report.instance, prefix="  "))
         print()
-    print(f"trials={args.trials} findings={len(reports)}")
+    skipped = f" skipped={reports.skipped}" if reports.skipped else ""
+    print(f"trials={args.trials} findings={len(reports)}{skipped}")
     return 0
 
 
@@ -166,7 +164,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _CAP_ERRORS as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MultispaceError, OSError, ValueError) as exc:

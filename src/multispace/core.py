@@ -24,8 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -221,6 +220,43 @@ def evaluate_chain(
     return acc
 
 
+class _Eliminator:
+    """Forward elimination over one ambient, one vector at a time.
+
+    Each kept row is reduced against the rows kept before it and scaled to a
+    leading 1, together with its combination of the pushed vectors.  Pushes
+    stop at the first dependent vector, so the i-th kept row belongs to push
+    i and depends only on pushes 0..i; dropping the rows from position k on
+    leaves the state the first k pushes would have left.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rows: list[tuple[int, list[int], list[int]]] = []
+
+    def push(self, coords: Sequence[int]) -> list[int] | None:
+        """Reduce the next vector against the kept rows.  If it reduces to
+        zero, return its combination of pushes 0..k (coefficient 1 on itself,
+        push k) and keep nothing; otherwise keep the reduced row."""
+        p = self.p
+        row = list(coords)
+        combo = [0] * len(self.rows) + [1]
+        for pivot, prow, pcombo in self.rows:
+            f = row[pivot]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, prow)]
+                combo[: len(pcombo)] = [(x - f * y) % p for x, y in zip(combo, pcombo)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            return combo
+        inv = pow(row[lead], -1, p)
+        self.rows.append((lead, [(x * inv) % p for x in row], [(x * inv) % p for x in combo]))
+        return None
+
+    def truncate(self, k: int) -> None:
+        del self.rows[k:]
+
+
 def _rank_dependence(
     vectors: list[TaggedVector],
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -229,23 +265,11 @@ def _rank_dependence(
     Elimination with combination tracking: the first vector reducing to zero
     against its predecessors yields a witness with coefficient 1 on itself.
     """
-    p = vectors[0].ambient.p
-    m = len(vectors)
-    reduced: list[tuple[int, list[int], list[int]]] = []
-    for j, v in enumerate(vectors):
-        row = list(v.coords)
-        combo = [0] * m
-        combo[j] = 1
-        for pivot, prow, pcombo in reduced:
-            f = row[pivot]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, prow)]
-                combo = [(x - f * y) % p for x, y in zip(combo, pcombo)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            return True, tuple(combo)
-        inv = pow(row[lead], -1, p)
-        reduced.append((lead, [(x * inv) % p for x in row], [(x * inv) % p for x in combo]))
+    elim = _Eliminator(vectors[0].ambient.p)
+    for v in vectors:
+        combo = elim.push(v.coords)
+        if combo is not None:
+            return True, tuple(combo) + (0,) * (len(vectors) - len(combo))
     return False, None
 
 
@@ -389,28 +413,61 @@ def greedy_basis(
     Under TOTAL policy the result also spans the union.  Under CLOSED it need
     not: a removed vector can leave union elements that no defined chain
     over the survivors reaches.
+
+    Under TOTAL with one ambient the dependence test is the rank path, and
+    its elimination resumes after each removal instead of restarting (see
+    `_resumed_greedy`); the witnesses, and so the result, are the same.
     """
     delta = component_basis_vectors(space)
-    if removal_order is not None:
+    if removal_order is None:
+        def victim_of(participants: list[int]) -> int:
+            return min(participants, key=lambda pos: (_vector_key(delta[pos]), pos))
+    else:
         if sorted(removal_order) != list(range(len(delta))):
             raise ValueError(
                 f"removal_order must be a permutation of range({len(delta)})"
             )
         priority = {pos: rank for rank, pos in enumerate(removal_order)}
-    alive = list(range(len(delta)))
-    while alive:
-        current = [delta[i] for i in alive]
-        dependent, witness = linearly_dependent(space, current, coefficient_cap)
-        if not dependent:
-            break
-        assert witness is not None
-        participants = [alive[k] for k, c in enumerate(witness) if c != 0]
-        if removal_order is None:
-            victim = min(participants, key=lambda pos: (_vector_key(delta[pos]), pos))
-        else:
-            victim = min(participants, key=lambda pos: priority[pos])
-        alive.remove(victim)
+
+        def victim_of(participants: list[int]) -> int:
+            return min(participants, key=priority.__getitem__)
+
+    if space.policy is OperationPolicy.TOTAL and len({v.ambient for v in delta}) == 1:
+        alive = _resumed_greedy(delta, victim_of)
+    else:
+        alive = list(range(len(delta)))
+        while alive:
+            current = [delta[i] for i in alive]
+            dependent, witness = linearly_dependent(space, current, coefficient_cap)
+            if not dependent:
+                break
+            assert witness is not None
+            alive.remove(victim_of([alive[k] for k, c in enumerate(witness) if c != 0]))
     return [delta[i] for i in alive]
+
+
+def _resumed_greedy(
+    delta: list[TaggedVector], victim_of: Callable[[list[int]], int]
+) -> list[int]:
+    """The greedy loop on the rank path without restarting its elimination.
+
+    The rank witness belongs to the first vector that reduces to zero against
+    the alive vectors before it.  Removing the victim at alive position k
+    leaves positions 0..k-1 and their kept rows as they were, so elimination
+    goes on from position k and finds the witness a restart would find.
+    """
+    elim = _Eliminator(delta[0].ambient.p)
+    alive = list(range(len(delta)))
+    k = 0
+    while k < len(alive):
+        combo = elim.push(delta[alive[k]].coords)
+        if combo is None:
+            k += 1
+            continue
+        k = alive.index(victim_of([alive[i] for i, c in enumerate(combo) if c]))
+        del alive[k]
+        elim.truncate(k)
+    return alive
 
 
 def dim_greedy(
@@ -509,23 +566,36 @@ def dim_inclusion_exclusion(
     """Alternating sum of intersection dimensions over all component subsets.
 
     A subset whose components span several ambients has empty intersection
-    and contributes 0.
+    and contributes 0.  Meets are computed over the subset lattice: the meet
+    of a subset is the meet of the subset without its highest component,
+    intersected with that component, so each subset costs at most one
+    intersection.  A zero meet and a mixed-ambient subset pass on to every
+    superset without one.
     """
-    k = len(space.components)
+    components = space.components
+    k = len(components)
     if k > subset_cap:
         raise TooManyComponents(f"{k} components exceed the subset cap of {subset_cap}")
+    # meets[mask] is the meet of the components in mask, None across ambients
+    meets: list[Subspace | None] = [None] * (1 << k)
     total = 0
-    for size in range(1, k + 1):
-        sign = 1 if size % 2 == 1 else -1
-        for chosen in combinations(space.components, size):
-            if len({c.ambient for c in chosen}) > 1:
-                continue
-            meet = chosen[0]
-            for other in chosen[1:]:
-                meet = meet.intersect(other)
-                if meet.dim == 0:
-                    break
-            total += sign * meet.dim
+    for mask in range(1, 1 << k):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        comp = components[top]
+        if not rest:
+            meet = comp
+        else:
+            below = meets[rest]
+            if below is None or below.ambient != comp.ambient:
+                meet = None
+            elif below.dim == 0:
+                meet = below
+            else:
+                meet = below.intersect(comp)
+        meets[mask] = meet
+        if meet is not None:
+            total += meet.dim if mask.bit_count() % 2 else -meet.dim
     return total
 
 

@@ -27,15 +27,19 @@ class EmptyChain(MultispaceError):
     """A combination chain needs at least one term."""
 
 
-class EnumerationTooLarge(MultispaceError):
+class CapExceeded(MultispaceError):
+    """A computation would exceed one of its configured caps."""
+
+
+class EnumerationTooLarge(CapExceeded):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
-class SearchTooLarge(MultispaceError):
+class SearchTooLarge(CapExceeded):
     """A coefficient search space exceeds the configured cap."""
 
 
-class TooManyComponents(MultispaceError):
+class TooManyComponents(CapExceeded):
     """Subset enumeration over components exceeds the configured cap."""
 
 

@@ -6,9 +6,13 @@
     space V1 in A gen 1,0; 0,1
 
 Sections appear in order: one policy line, then ambients, then spaces.
-Integers are ASCII decimal digits with an optional leading '-'.  Vectors are
-comma-separated residues already reduced mod p; out-of-range entries are
-rejected rather than silently reduced.
+Lines end at '\n'; one '\r' before it is dropped, so CRLF files read the
+same.  Tokens are separated by ASCII spaces and tabs; any other whitespace
+character outside a comment (a vertical tab, form feed, lone '\r', no-break
+or ideographic space, ...) is a ParseError at its column.  Integers are ASCII
+decimal digits with an optional leading '-'.  Vectors are comma-separated
+residues already reduced mod p; out-of-range entries are rejected rather than
+silently reduced.
 """
 
 from __future__ import annotations
@@ -25,20 +29,28 @@ _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    """Whitespace-split tokens with their 1-based starting columns."""
-    out = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+_BLANKS = " \t"
+_TOKEN_RE = re.compile(r"[^ \t]+")
+# whitespace (as str.isspace sees it) other than a space or a tab
+_OTHER_SPACE_RE = re.compile(r"[^\S \t]")
+
+
+def _tokens(line: str, lineno: int) -> list[tuple[str, int]]:
+    """Space- and tab-separated tokens with their 1-based starting columns."""
+    bad = _OTHER_SPACE_RE.search(line)
+    if bad:
+        raise ParseError(
+            lineno, bad.start() + 1, f"unexpected whitespace character {bad.group()!r}"
+        )
+    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+
+
+def _lines(text: str) -> list[str]:
+    """Lines split at '\n' only, each without one trailing '\r'."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
 
 
 def _parse_int(text: str, lineno: int, col: int, what: str) -> int:
@@ -56,21 +68,21 @@ def _parse_keyed(token: str, key: str, lineno: int, col: int) -> int:
 def _parse_vectors(
     rest: str, base_col: int, lineno: int, ambient: AmbientId
 ) -> list[tuple[int, ...]]:
-    if not rest.strip():
+    if not rest.strip(_BLANKS):
         return []
     rows: list[tuple[int, ...]] = []
     offset = 0
     for piece in rest.split(";"):
         piece_col = base_col + offset
         offset += len(piece) + 1
-        if not piece.strip():
+        if not piece.strip(_BLANKS):
             raise ParseError(lineno, piece_col, "empty vector between ';' separators")
         entries = []
         entry_offset = 0
         for chunk in piece.split(","):
-            chunk_col = piece_col + entry_offset + (len(chunk) - len(chunk.lstrip()))
+            chunk_col = piece_col + entry_offset + (len(chunk) - len(chunk.lstrip(_BLANKS)))
             entry_offset += len(chunk) + 1
-            text = chunk.strip()
+            text = chunk.strip(_BLANKS)
             if not text:
                 raise ParseError(lineno, chunk_col, "empty vector entry")
             value = _parse_int(text, lineno, chunk_col, "vector entry")
@@ -95,9 +107,9 @@ def parse_instance(text: str) -> MultiVectorSpace:
     ambients: dict[str, AmbientId] = {}
     components: list[Subspace] = []
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip("\r")
-        tokens = _tokens(line)
+    for lineno, raw in enumerate(_lines(text), 1):
+        line = raw.split("#", 1)[0]
+        tokens = _tokens(line, lineno)
         if not tokens:
             continue
         head, head_col = tokens[0]

@@ -17,7 +17,7 @@ from .core import (
     dim_greedy,
     dim_inclusion_exclusion,
 )
-from .errors import MultispaceError
+from .errors import CapExceeded, MultispaceError
 from .fp import FpMatrix, check_prime
 from .subspace import AmbientId, span
 
@@ -101,21 +101,34 @@ def _random_nonzero_row(rng: random.Random, ambient: AmbientId) -> tuple[int, ..
             return row
 
 
+class Findings(list):
+    """Discrepancy reports in draw order; `skipped` counts the draws that hit
+    a cap and were left out.  Compares equal to a list of the same reports."""
+
+    skipped = 0
+
+
 def find_formula_discrepancies(
     cfg: GeneratorConfig,
     trials: int,
     injected: tuple[MultiVectorSpace, ...] = (),
-) -> list[DiscrepancyReport]:
+) -> Findings:
     """Compare the two dimension computations over `trials` draws.
 
     Instances in `injected` replace the random draws at the head of the run,
     which keeps known fixtures reproducible under the same reporting path.
+    A draw on which either computation exceeds a cap is counted in
+    `skipped`, and the run goes on with the next draw.
     """
-    reports: list[DiscrepancyReport] = []
+    reports = Findings()
     for draw in range(trials):
         instance = injected[draw] if draw < len(injected) else random_instance(cfg, draw)
-        ie = dim_inclusion_exclusion(instance)
-        greedy = dim_greedy(instance)
+        try:
+            ie = dim_inclusion_exclusion(instance)
+            greedy = dim_greedy(instance)
+        except CapExceeded:
+            reports.skipped += 1
+            continue
         if ie != greedy:
             reports.append(
                 DiscrepancyReport(

@@ -4,6 +4,11 @@ A subspace is stored as its reduced-echelon basis, so equality of subspaces
 is plain equality of matrices.  Sum and intersection come out of a single
 stacked elimination: reducing [A|A; B|0] leaves sum rows in the left block
 and intersection rows in the right block.
+
+The canonical form is checked once, at the public boundary: `Subspace(...)`
+re-reduces the basis it is given.  The producers here (`span`, sum and
+intersection, the zero and full subspaces) already hold a reduced basis, so
+they build through `_canonical`, which skips that check.
 """
 
 from __future__ import annotations
@@ -33,7 +38,11 @@ class AmbientId:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of its ambient space, held as a canonical RREF basis."""
+    """A subspace of its ambient space, held as a canonical RREF basis.
+
+    Built directly, it checks that `basis` is in reduced echelon form with no
+    zero rows and raises ValueError otherwise; `span` reduces any generators.
+    """
 
     ambient: AmbientId
     basis: FpMatrix
@@ -95,18 +104,27 @@ def span(ambient: AmbientId, generators: FpMatrix) -> Subspace:
     basis = FpMatrix(
         ambient.p, reduced.rank, ambient.n, reduced.matrix.entries[: reduced.rank * ambient.n]
     )
-    return Subspace(ambient, basis)
+    return _canonical(ambient, basis)
+
+
+def _canonical(ambient: AmbientId, basis: FpMatrix) -> Subspace:
+    """A Subspace over a basis that is already in reduced echelon form with no
+    zero rows, built without the re-reduction in `Subspace.__post_init__`."""
+    space = object.__new__(Subspace)
+    object.__setattr__(space, "ambient", ambient)
+    object.__setattr__(space, "basis", basis)
+    return space
 
 
 def zero_subspace(ambient: AmbientId) -> Subspace:
-    return Subspace(ambient, FpMatrix(ambient.p, 0, ambient.n, ()))
+    return _canonical(ambient, FpMatrix(ambient.p, 0, ambient.n, ()))
 
 
 def full_subspace(ambient: AmbientId) -> Subspace:
     rows = tuple(
         1 if j == i else 0 for i in range(ambient.n) for j in range(ambient.n)
     )
-    return Subspace(ambient, FpMatrix(ambient.p, ambient.n, ambient.n, rows))
+    return _canonical(ambient, FpMatrix(ambient.p, ambient.n, ambient.n, rows))
 
 
 def _zassenhaus(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
@@ -131,6 +149,9 @@ def _zassenhaus(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
         else:
             inter_rows.append(row[n:])
     ambient = s1.ambient
-    sum_space = Subspace(ambient, FpMatrix.from_rows(p, sum_rows, cols=n))
-    inter_space = Subspace(ambient, FpMatrix.from_rows(p, inter_rows, cols=n))
+    # the left blocks of the sum rows and the right blocks of the intersection
+    # rows are each in reduced echelon form: their pivots are pivots of the
+    # stacked reduction, cleared in every other row
+    sum_space = _canonical(ambient, FpMatrix.from_rows(p, sum_rows, cols=n))
+    inter_space = _canonical(ambient, FpMatrix.from_rows(p, inter_rows, cols=n))
     return sum_space, inter_space

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from multispace import (
     AmbientId,
@@ -11,6 +12,8 @@ from multispace import (
     OperationPolicy,
     Subspace,
     TaggedVector,
+    brute_intersection,
+    component_basis_vectors,
     span,
 )
 
@@ -112,3 +115,45 @@ def brute_axiom_counts(space: MultiVectorSpace) -> tuple[int, int, int]:
                     assert lhs == add(k1a, k2a)
                     dist += 1
     return closure, assoc, dist
+
+
+def replay_greedy(space: MultiVectorSpace, dependent, removal_order=None) -> list[TaggedVector]:
+    """The greedy procedure restarted from scratch after every removal.
+
+    `dependent(vectors)` is its dependence test, returning (dependent,
+    witness).  While the alive list is dependent, the participant of the
+    witness that comes first (smallest (label, p, n, coords, position) by
+    default, else earliest in `removal_order`) is removed.
+    """
+    delta = component_basis_vectors(space)
+    if removal_order is None:
+        def rank(pos):
+            v = delta[pos]
+            return (v.ambient.label, v.ambient.p, v.ambient.n, v.coords, pos)
+    else:
+        rank = list(removal_order).index
+    alive = list(range(len(delta)))
+    while alive:
+        found, witness = dependent([delta[i] for i in alive])
+        if not found:
+            break
+        alive.remove(min((alive[k] for k, c in enumerate(witness) if c), key=rank))
+    return [delta[i] for i in alive]
+
+
+def brute_inclusion_exclusion(space: MultiVectorSpace) -> int:
+    """The alternating sum with every meet taken as a set of enumerated vectors."""
+    comps = space.components
+    elements = [brute_intersection(c, c) for c in comps]
+    total = 0
+    for size in range(1, len(comps) + 1):
+        for chosen in combinations(range(len(comps)), size):
+            if len({comps[j].ambient for j in chosen}) > 1:
+                continue
+            meet = set.intersection(*(elements[j] for j in chosen))
+            p = comps[chosen[0]].ambient.p
+            dim = 0
+            while p**dim < len(meet):
+                dim += 1
+            total += dim if size % 2 else -dim
+    return total

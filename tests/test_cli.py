@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multispace import (
+    AmbientId,
     GeneratorConfig,
+    MultiVectorSpace,
     MultispaceError,
     OperationPolicy,
     ParseError,
     SemanticError,
     format_instance,
+    full_subspace,
     parse_instance,
     random_instance,
 )
+from multispace import search as search_module
 from multispace.cli import main
 
 THREE_LINES = """\
@@ -187,6 +191,38 @@ class TestParseInstance:
         assert (err.value.line, err.value.col) == (line, col)
         assert "expected an integer" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text,line,col",
+        [
+            pytest.param("policy TOTAL\nambient\u3000A p=2 n=2\n", 2, 8, id="ideographic-space"),
+            pytest.param("policy TOTAL\nambient A\xa0p=2 n=2\n", 2, 10, id="no-break-space"),
+            pytest.param("policy\vTOTAL\n", 1, 7, id="vertical-tab"),
+            pytest.param("policy\fTOTAL\n", 1, 7, id="form-feed"),
+            pytest.param("policy TOTAL\x1cambient A p=2 n=2\n", 1, 13, id="file-separator"),
+            pytest.param("policy TOTAL\x1dambient A p=2 n=2\n", 1, 13, id="group-separator"),
+            pytest.param("policy TOTAL\x1eambient A p=2 n=2\n", 1, 13, id="record-separator"),
+            pytest.param("policy TOTAL\x85ambient A p=2 n=2\n", 1, 13, id="next-line"),
+            pytest.param("policy TOTAL\u2028ambient A p=2 n=2\n", 1, 13, id="line-separator"),
+            pytest.param("policy TOTAL\u2029ambient A p=2 n=2\n", 1, 13, id="paragraph-separator"),
+            pytest.param("policy TOTAL\rambient A p=2 n=2\n", 1, 13, id="lone-carriage-return"),
+            pytest.param("policy TOTAL\r\r\n", 1, 13, id="two-carriage-returns"),
+            pytest.param(
+                "policy TOTAL\nambient A p=2 n=2\nspace V in A gen 1,\u20030\n", 3, 20,
+                id="em-space-in-vector",
+            ),
+        ],
+    )
+    def test_only_spaces_and_tabs_separate(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert "unexpected whitespace" in str(err.value)
+
+    def test_tabs_and_whitespace_in_comments(self):
+        text = "policy\tTOTAL # \u3000\v\n\tambient A p=2 n=2\nspace V in A gen\t1,\t0\n"
+        instance = parse_instance(text)
+        assert instance == parse_instance(MINIMAL)
+
     def test_malformed_battery_never_crashes(self):
         bad = [
             "",
@@ -277,6 +313,16 @@ class TestCommands:
         )
         assert captured.err == ""
 
+    def test_file_line_ends_reach_the_parser(self, tmp_path, capsys):
+        crlf = tmp_path / "crlf.ms"
+        crlf.write_bytes(THREE_LINES.replace("\n", "\r\n").encode())
+        assert main(["dim", str(crlf)]) == 0
+        assert capsys.readouterr().out == "greedy=2 inclusion-exclusion=3 agree=no\n"
+        lone_cr = tmp_path / "cr.ms"
+        lone_cr.write_bytes(MINIMAL.replace("\n", "\r").encode())
+        assert main(["dim", str(lone_cr)]) == 1
+        assert "line 1, col 13: unexpected whitespace" in capsys.readouterr().err
+
     def test_policy_override(self, three_lines_file, capsys):
         assert main(["dim", "--policy", "CLOSED", three_lines_file]) == 0
         assert capsys.readouterr().out == "greedy=3 inclusion-exclusion=3 agree=yes\n"
@@ -313,6 +359,27 @@ class TestCommands:
         assert main(["search", "--trials", "50", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
         assert first.rstrip().splitlines()[-1].startswith("trials=50 findings=")
+
+    def test_search_skips_over_cap_draws(self, monkeypatch, capsys):
+        # 5^9 coefficient tuples for the 9 basis rows exceed the search cap
+        over_cap = MultiVectorSpace(
+            (full_subspace(AmbientId("A", 5, 9)),), OperationPolicy.CLOSED
+        )
+        drawn = search_module.random_instance
+
+        def draw(cfg, i):
+            return over_cap if i == 1 else drawn(cfg, i)
+
+        monkeypatch.setattr(search_module, "random_instance", draw)
+        assert main(["search", "--trials", "80", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(search_module, "random_instance", drawn)
+        assert main(["search", "--trials", "80", "--seed", "3"]) == 0
+        plain = capsys.readouterr().out
+        head, summary = plain.rstrip("\n").rsplit("\n", 1)
+        assert "skipped" not in summary
+        # draw 1 of seed 3 agrees, so only the summary line differs
+        assert out == f"{head}\n{summary} skipped=1\n"
 
     def test_search_blocks_parse_back(self, capsys):
         assert main(["search", "--trials", "80", "--seed", "3"]) == 0

@@ -9,6 +9,7 @@ from multispace import (
     AmbientId,
     ChainTerm,
     EmptyChain,
+    FpMatrix,
     FpScalar,
     MultiVectorSpace,
     OperationPolicy,
@@ -18,6 +19,7 @@ from multispace import (
     TooManyComponents,
     additive_formula_check,
     basis_invariance_check,
+    brute_dependent,
     component_basis_vectors,
     dim_greedy,
     dim_inclusion_exclusion,
@@ -28,6 +30,7 @@ from multispace import (
     is_multi_subspace,
     linear_span,
     linearly_dependent,
+    span,
     union_contains,
     validate_axioms,
     zero_subspace,
@@ -35,9 +38,11 @@ from multispace import (
 )
 from conftest import (
     brute_axiom_counts,
+    brute_inclusion_exclusion,
     line_space,
     random_one_ambient_instance,
     random_subspace,
+    replay_greedy,
     three_lines_gf2,
     union_elements,
 )
@@ -264,13 +269,39 @@ class TestGreedyBasis:
         assert dim_greedy(m) == 2
 
     def test_output_independent_and_spanning(self):
+        # spanning holds under TOTAL only; under CLOSED the procedure itself
+        # is replayed with the brute-force dependence test
         rng = random.Random(13)
         for policy in (TOTAL, CLOSED):
             for _ in range(30):
                 m = random_one_ambient_instance(rng, policy, max_dim=3)
                 basis = greedy_basis(m)
                 assert not linearly_dependent(m, basis)[0]
-                assert linear_span(m, basis) >= union_elements(m)
+                if policy is TOTAL:
+                    assert linear_span(m, basis) >= union_elements(m)
+                else:
+                    assert not brute_dependent(m, basis)[0]
+                    assert basis == replay_greedy(m, lambda vs: brute_dependent(m, vs))
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_resumed_elimination_matches_restart_loop(self, p):
+        rng = random.Random(500 + p)
+        for _ in range(60):
+            ambients = [AmbientId("A", p, rng.randint(1, 5))]
+            if rng.random() < 0.2:
+                ambients.append(AmbientId("B", p, rng.randint(1, 3)))
+            m = MultiVectorSpace(
+                tuple(random_subspace(rng, rng.choice(ambients)) for _ in range(rng.randint(1, 6))),
+                TOTAL,
+            )
+
+            def restart(vs):
+                return linearly_dependent(m, vs)
+
+            assert greedy_basis(m) == replay_greedy(m, restart)
+            size = len(component_basis_vectors(m))
+            order = rng.sample(range(size), size)
+            assert greedy_basis(m, removal_order=order) == replay_greedy(m, restart, order)
 
     def test_custom_removal_order(self):
         m = three_lines_gf2()
@@ -429,6 +460,24 @@ class TestDimInclusionExclusion:
     def test_cross_ambient_subsets_contribute_zero(self):
         m = MultiVectorSpace((full_subspace(GF2), full_subspace(GF2_B)), TOTAL)
         assert dim_inclusion_exclusion(m) == 4
+
+    def test_lattice_matches_enumerated_meets(self):
+        # components of at least half the ambient dimension, so that meets of
+        # three or more components are often nonzero
+        rng = random.Random(811)
+        for _ in range(150):
+            ambients = [
+                AmbientId("ABC"[i], rng.choice([2, 3]), rng.randint(1, 5))
+                for i in range(rng.randint(1, 3))
+            ]
+            comps = []
+            for _ in range(rng.randint(1, 8)):
+                ambient = rng.choice(ambients)
+                g = rng.randint(ambient.n // 2, ambient.n)
+                entries = tuple(rng.randrange(ambient.p) for _ in range(g * ambient.n))
+                comps.append(span(ambient, FpMatrix(ambient.p, g, ambient.n, entries)))
+            m = MultiVectorSpace(tuple(comps), rng.choice([TOTAL, CLOSED]))
+            assert dim_inclusion_exclusion(m) == brute_inclusion_exclusion(m)
 
 
 class TestAdditiveFormula:

@@ -1,23 +1,35 @@
 """Random instance generation and the formula discrepancy searcher."""
 
+import base64
+import hashlib
+import json
 import random
+from pathlib import Path
+
+import pytest
 
 from multispace import (
+    AmbientId,
+    CapExceeded,
     DiscrepancyReport,
     GeneratorConfig,
     MultiVectorSpace,
     OperationPolicy,
+    component_basis_vectors,
     dim_greedy,
     dim_inclusion_exclusion,
     find_formula_discrepancies,
+    full_subspace,
+    greedy_basis,
     minimize_counterexample,
     random_instance,
     validate_axioms,
     zero_subspace,
 )
-from conftest import brute_axiom_counts, three_lines_gf2
+from conftest import brute_axiom_counts, brute_inclusion_exclusion, three_lines_gf2
 
 TOTAL = OperationPolicy.TOTAL
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 
 
 class TestRandomInstance:
@@ -69,6 +81,19 @@ class TestFindFormulaDiscrepancies:
         assert report.draw == 0
         assert report.ie_value == 3
         assert report.greedy_value == 2
+
+    def test_over_cap_draw_skipped(self):
+        # 5^9 coefficient tuples for the 9 basis rows exceed the search cap
+        over_cap = MultiVectorSpace(
+            (full_subspace(AmbientId("A", 5, 9)),), OperationPolicy.CLOSED
+        )
+        cfg = GeneratorConfig(seed=0)
+        reports = find_formula_discrepancies(cfg, 3, injected=(over_cap, three_lines_gf2()))
+        plain = find_formula_discrepancies(cfg, 3)
+        assert (reports.skipped, plain.skipped) == (1, 0)
+        # the run goes on past draw 0 to the injected finding and draw 2
+        assert reports[0].draw == 1
+        assert reports[1:] == [r for r in plain if r.draw == 2]
 
     def test_zero_trials(self):
         assert find_formula_discrepancies(GeneratorConfig(seed=1), 0) == []
@@ -129,3 +154,49 @@ class TestMinimize:
                 instance.components[:i] + instance.components[i + 1 :], instance.policy
             )
             assert dim_inclusion_exclusion(reduced) == dim_greedy(reduced)
+
+
+def _digest(result: tuple) -> bytes:
+    return hashlib.sha256(repr(result).encode()).digest()[:3]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "workload,config,draws",
+    [
+        pytest.param("audit-total", {}, 2000, id="audit-total"),
+        pytest.param(
+            "audit-closed",
+            {"policy": OperationPolicy.CLOSED, "max_components": 6, "max_ambient_dim": 5},
+            500,
+            id="audit-closed",
+        ),
+    ],
+)
+def test_recorded_audit_digests(workload, config, draws, seed):
+    """Replay the head of the benchmark's recorded audit draws.
+
+    Each record is the first 3 bytes of the sha256 of repr(result), where the
+    result is ("ok", inclusion-exclusion, basis coordinates) or ("cap",).
+    Some CLOSED draws were recorded over the cap before multi-ambient lists
+    became independent outright; those must now give the whole stacked list
+    and the enumerated alternating sum.
+    """
+    record = json.loads((EXPECTED / f"{workload}.json").read_text())
+    blob = base64.b64decode(record["seeds"][str(seed)])
+    cfg = GeneratorConfig(seed=seed, **config)
+    for draw in range(draws):
+        recorded = blob[3 * draw : 3 * draw + 3]
+        instance = random_instance(cfg, draw)
+        try:
+            ie = dim_inclusion_exclusion(instance)
+            basis = greedy_basis(instance)
+        except CapExceeded:
+            continue
+        result = ("ok", ie, tuple((v.ambient.label, v.coords) for v in basis))
+        if _digest(result) == recorded:
+            continue
+        assert recorded == _digest(("cap",)), f"draw {draw} differs from its record"
+        assert instance.policy is OperationPolicy.CLOSED and len(instance.ambients()) > 1
+        assert basis == component_basis_vectors(instance)
+        assert ie == brute_inclusion_exclusion(instance)

@@ -16,6 +16,8 @@ from multispace import (
     span,
     zero_subspace,
 )
+from multispace import subspace as subspace_module
+from multispace.fp import rref
 from conftest import line_space, random_subspace
 
 GF2_PLANE = AmbientId("A", 2, 2)
@@ -61,6 +63,41 @@ class TestSpan:
     def test_non_canonical_basis_rejected(self):
         with pytest.raises(ValueError):
             Subspace(GF3_PLANE, FpMatrix.from_rows(3, [(2, 0)]))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0, 1), (1, 0)],  # pivots out of order
+            [(1, 1), (0, 1)],  # pivot column not cleared above
+            [(1, 0), (0, 0)],  # zero row
+            [(1, 0), (1, 0)],  # repeated row
+        ],
+    )
+    def test_public_constructor_checks_rref(self, rows):
+        with pytest.raises(ValueError):
+            Subspace(GF3_PLANE, FpMatrix.from_rows(3, rows))
+
+    def test_one_rref_per_span_and_intersect(self, monkeypatch):
+        # producers build through the trusted constructor, so the reduction
+        # that makes the basis is the only one
+        calls = []
+
+        def counting_rref(m):
+            calls.append(m)
+            return rref(m)
+
+        ambient = AmbientId("A", 101, 4)
+        a = line_space(ambient, (1, 2, 3, 4), (0, 1, 5, 7))
+        b = line_space(ambient, (1, 2, 0, 0), (0, 0, 1, 9))
+        monkeypatch.setattr(subspace_module, "rref", counting_rref)
+        span(ambient, FpMatrix.from_rows(101, [(1, 2, 3, 4), (2, 4, 6, 8)]))
+        assert len(calls) == 1
+        a.intersect(b)
+        assert len(calls) == 2
+        a.sum(b)
+        assert len(calls) == 3
+        zero_subspace(ambient), full_subspace(ambient)
+        assert len(calls) == 3
 
 
 class TestContains:
