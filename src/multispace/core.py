@@ -18,7 +18,6 @@ ambient.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -37,8 +36,10 @@ from .errors import (
 from .fp import FpScalar
 from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace
 
-DEFAULT_COEFFICIENT_CAP = 10**6
 DEFAULT_SUBSET_CAP = 12
+
+# the CLOSED dependence search refuses lists that could take more steps
+_SEARCH_STEP_CAP = 2 * 10**6
 
 # components at most this large get a materialized element set for fast
 # membership; larger ones fall back to solving against the basis
@@ -274,70 +275,79 @@ def _rank_dependence(
 
 
 def _exhaustive_dependence(
-    space: MultiVectorSpace,
-    vectors: list[TaggedVector],
-    coefficient_cap: int,
+    space: MultiVectorSpace, vectors: list[TaggedVector]
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Depth-first scan of coefficient tuples in lexicographic order.
+    """Lexicographic depth-first search over chain states.
 
-    Prefixes whose partial chain is already undefined prune their whole
-    subtree, since a chain dies at its first undefined step.
+    Every defined prefix lies in the union, so what a prefix allows next
+    depends only on its state (position, accumulator, whether a nonzero
+    coefficient came before).  Coefficients are tried in order 0..p-1 and a
+    state whose subtree held no witness is not entered again, so the first
+    witness found is the lexicographically first tuple.  The walk keeps its
+    own stack, as a list may be far longer than the recursion limit.
     """
-    sizes = [v.ambient.p for v in vectors]
-    total = math.prod(sizes)
-    if total > coefficient_cap:
-        raise SearchTooLarge(f"{total} coefficient tuples exceed the cap of {coefficient_cap}")
+    ambient = vectors[0].ambient
+    p, m = ambient.p, len(vectors)
+    union_bound = sum(p**c.dim for c in space.components_in(ambient))
+    steps = p * sum(min(p**i, union_bound) for i in range(m))
+    if steps > _SEARCH_STEP_CAP:
+        raise SearchTooLarge(f"{steps} chain-state steps exceed the cap of {_SEARCH_STEP_CAP}")
     idx = _membership(space)
-    m = len(vectors)
-    scaled = [[_scale(c, v) for c in range(v.ambient.p)] for v in vectors]
-    scalar_ok = [_scalar_defined(space, idx, v) for v in vectors]
+    # c*v lies in the components holding v for c != 0, and 0*v in all of them
+    masks = [idx.mask(v) for v in vectors]
+    if not all(masks):
+        return False, None
+    scaled = [[tuple((c * x) % p for x in v.coords) for c in range(p)] for v in vectors]
+    acc_masks: dict[tuple[int, ...], int] = {}
+
+    def children(i: int, acc: tuple[int, ...], seen: bool):
+        yield 0, (i + 1, acc, seen)
+        bits = acc_masks.get(acc)
+        if bits is None:
+            bits = acc_masks[acc] = idx.mask(TaggedVector(ambient, acc))
+        if bits & masks[i]:
+            for c in range(1, p):
+                yield c, (i + 1, tuple((a + b) % p for a, b in zip(acc, scaled[i][c])), True)
+
+    root = (0, (0,) * ambient.n, False)
+    failed: set[tuple[int, tuple[int, ...], bool]] = set()
     coeffs = [0] * m
-
-    def walk(i: int, acc: TaggedVector | None) -> tuple[int, ...] | None:
-        if i == m:
-            if acc is not None and acc.is_zero and any(coeffs):
-                return tuple(coeffs)
-            return None
-        if not scalar_ok[i]:
-            return None
-        for c in range(sizes[i]):
-            value = scaled[i][c]
-            if acc is None:
-                nxt = value
-            elif _addition_defined(space, idx, acc, value):
-                nxt = _add(acc, value)
-            else:
-                continue
-            coeffs[i] = c
-            found = walk(i + 1, nxt)
-            if found is not None:
-                return found
-        coeffs[i] = 0
-        return None
-
-    witness = walk(0, None)
-    return (witness is not None), witness
+    path = [(root, children(*root))]
+    while path:
+        state, kids = path[-1]
+        step = next(kids, None)
+        if step is None:
+            failed.add(state)
+            path.pop()
+            continue
+        coeffs[state[0]], nxt = step
+        if nxt[0] == m:
+            if nxt[2] and not any(nxt[1]):
+                return True, tuple(coeffs)
+        elif nxt not in failed:
+            path.append((nxt, children(*nxt)))
+    return False, None
 
 
 def linearly_dependent(
-    space: MultiVectorSpace,
-    vectors: Sequence[TaggedVector],
-    coefficient_cap: int = DEFAULT_COEFFICIENT_CAP,
+    space: MultiVectorSpace, vectors: Sequence[TaggedVector]
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether some not-all-zero coefficient tuple gives a defined zero chain.
 
     A list spanning several ambients is independent outright under either
     policy, because every full-length chain hits an undefined cross-ambient
     addition.  Under TOTAL policy a single-ambient list reduces to a rank
-    test; under CLOSED the coefficient space is searched exhaustively and the
-    witness is the lexicographically first tuple over the given vector order.
+    test.  Under CLOSED the search walks chain states, and the witness is the
+    lexicographically first tuple over the given vector order.  It raises
+    SearchTooLarge when its step bound p * sum_{i<m} min(p^i, S) exceeds 2*10^6,
+    for m vectors over GF(p) whose ambient's components hold S = sum p^dim.
     """
     vectors = list(vectors)
     if not vectors or len({v.ambient for v in vectors}) > 1:
         return False, None
     if space.policy is OperationPolicy.TOTAL:
         return _rank_dependence(vectors)
-    return _exhaustive_dependence(space, vectors, coefficient_cap)
+    return _exhaustive_dependence(space, vectors)
 
 
 def linear_span(
@@ -401,7 +411,6 @@ def _vector_key(v: TaggedVector) -> tuple:
 def greedy_basis(
     space: MultiVectorSpace,
     removal_order: Sequence[int] | None = None,
-    coefficient_cap: int = DEFAULT_COEFFICIENT_CAP,
 ) -> list[TaggedVector]:
     """Shrink the stacked component bases to an independent set.
 
@@ -438,7 +447,7 @@ def greedy_basis(
         alive = list(range(len(delta)))
         while alive:
             current = [delta[i] for i in alive]
-            dependent, witness = linearly_dependent(space, current, coefficient_cap)
+            dependent, witness = linearly_dependent(space, current)
             if not dependent:
                 break
             assert witness is not None
@@ -470,11 +479,9 @@ def _resumed_greedy(
     return alive
 
 
-def dim_greedy(
-    space: MultiVectorSpace, coefficient_cap: int = DEFAULT_COEFFICIENT_CAP
-) -> int:
+def dim_greedy(space: MultiVectorSpace) -> int:
     """Cardinality of the greedy basis under the default removal order."""
-    return len(greedy_basis(space, coefficient_cap=coefficient_cap))
+    return len(greedy_basis(space))
 
 
 @dataclass(frozen=True)
@@ -491,10 +498,7 @@ class InvarianceReport:
 
 
 def basis_invariance_check(
-    space: MultiVectorSpace,
-    trials: int,
-    seed: int,
-    coefficient_cap: int = DEFAULT_COEFFICIENT_CAP,
+    space: MultiVectorSpace, trials: int, seed: int
 ) -> InvarianceReport:
     """Run the greedy procedure under random removal orders and compare sizes."""
     rng = random.Random(seed)
@@ -502,7 +506,7 @@ def basis_invariance_check(
     cards = []
     for _ in range(trials):
         order = rng.sample(range(m), m)
-        cards.append(len(greedy_basis(space, order, coefficient_cap)))
+        cards.append(len(greedy_basis(space, order)))
     return InvarianceReport(trials=trials, seed=seed, cardinalities=tuple(cards))
 
 
@@ -618,9 +622,7 @@ class AdditiveReport:
 
 
 def additive_formula_check(
-    first: MultiVectorSpace,
-    second: MultiVectorSpace,
-    coefficient_cap: int = DEFAULT_COEFFICIENT_CAP,
+    first: MultiVectorSpace, second: MultiVectorSpace
 ) -> AdditiveReport:
     """Compare dim(union) against dim1 + dim2 - dim(intersection)."""
     if first.policy is not second.policy:
@@ -628,10 +630,10 @@ def additive_formula_check(
     combined = MultiVectorSpace(first.components + second.components, first.policy)
     meet = intersect_multispaces(first, second)
     return AdditiveReport(
-        union_dim=dim_greedy(combined, coefficient_cap),
-        first_dim=dim_greedy(first, coefficient_cap),
-        second_dim=dim_greedy(second, coefficient_cap),
-        intersection_dim=dim_greedy(meet, coefficient_cap),
+        union_dim=dim_greedy(combined),
+        first_dim=dim_greedy(first),
+        second_dim=dim_greedy(second),
+        intersection_dim=dim_greedy(meet),
     )
 
 

@@ -117,13 +117,15 @@ def rref(m: FpMatrix) -> RrefResult:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        # rows r.. are zero left of col (earlier pivots cleared them, and the
+        # skipped columns had no entry there), so only columns col.. change
         inv = pow(rows[r][col], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        lead = rows[r]
+        lead = [(x * inv) % p for x in rows[r][col:]]
+        rows[r][col:] = lead
         for i in range(m.rows):
             f = rows[i][col]
             if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+                rows[i][col:] = [(x - f * y) % p for x, y in zip(rows[i][col:], lead)]
         pivots.append(col)
         r += 1
         if r == m.rows:

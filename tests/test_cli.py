@@ -81,6 +81,40 @@ VALIDATE_RECORDED = [
 ]
 
 
+@st.composite
+def canonical_text(draw):
+    """Instance text as format_instance writes it: spaces V1..Vk with RREF
+    generators (possibly none), ambients in the order spaces first use them."""
+    labels = draw(
+        st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+                 min_size=1, max_size=3, unique=True)
+    )
+    shapes = [
+        (draw(st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1])), draw(st.integers(0, 4)))
+        for _ in labels
+    ]
+    uses = draw(st.permutations(
+        list(range(len(labels))) + draw(st.lists(st.sampled_from(range(len(labels))), max_size=3))
+    ))
+    order = list(dict.fromkeys(uses))
+    lines = [f"policy {draw(st.sampled_from(['TOTAL', 'CLOSED']))}"]
+    lines += [f"ambient {labels[a]} p={shapes[a][0]} n={shapes[a][1]}" for a in order]
+    for i, a in enumerate(uses, 1):
+        p, n = shapes[a]
+        pivots = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else [])
+        rows = []
+        for pivot in pivots:
+            row = [0] * n
+            row[pivot] = 1
+            for j in range(pivot + 1, n):
+                if j not in pivots:
+                    row[j] = draw(st.integers(0, p - 1))
+            rows.append(",".join(map(str, row)))
+        gens = "; ".join(rows)
+        lines.append(f"space V{i} in {labels[a]} gen" + (f" {gens}" if gens else ""))
+    return "\n".join(lines)
+
+
 class TestParseInstance:
     def test_minimal_file(self):
         instance = parse_instance(MINIMAL)
@@ -257,6 +291,11 @@ class TestParseInstance:
             instance = random_instance(cfg, draw)
             assert parse_instance(format_instance(instance)) == instance
 
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_text())
+    def test_canonical_text_round_trips(self, text):
+        assert format_instance(parse_instance(text)) == text
+
 
 @pytest.fixture
 def three_lines_file(tmp_path):
@@ -361,7 +400,7 @@ class TestCommands:
         assert first.rstrip().splitlines()[-1].startswith("trials=50 findings=")
 
     def test_search_skips_over_cap_draws(self, monkeypatch, capsys):
-        # 5^9 coefficient tuples for the 9 basis rows exceed the search cap
+        # the 9 basis rows of GF(5)^9 take 2,441,405 search steps, over the cap
         over_cap = MultiVectorSpace(
             (full_subspace(AmbientId("A", 5, 9)),), OperationPolicy.CLOSED
         )

@@ -191,8 +191,8 @@ class TestLinearlyDependent:
         assert linearly_dependent(m, vectors) == (False, None)
 
     def test_closed_mixed_ambients_independent_past_the_cap(self):
-        # 101^4 coefficient tuples exceed the search cap, but no full chain
-        # across two ambients is defined, so nothing needs searching
+        # a search over 4 vectors of GF(101)^2 would exceed the step cap, but
+        # no full chain across two ambients is defined, so none is needed
         a, b = AmbientId("A", 101, 2), AmbientId("B", 101, 2)
         m = MultiVectorSpace((full_subspace(a), full_subspace(b)), CLOSED)
         stacked = component_basis_vectors(m)
@@ -205,10 +205,19 @@ class TestLinearlyDependent:
         assert dep and witness == (1, 1)
 
     def test_search_cap(self):
-        m = MultiVectorSpace((full_subspace(AmbientId("A", 5, 2)),), CLOSED)
-        vectors = [tv(AmbientId("A", 5, 2), 1, 0)] * 10
+        # 5^10 coefficient tuples, but at most 25 accumulators per position,
+        # so the chain-state search stays far under its step cap
+        small = AmbientId("A", 5, 2)
+        m = MultiVectorSpace((full_subspace(small),), CLOSED)
+        vectors = [tv(small, 1, 0)] * 10
+        assert linearly_dependent(m, vectors) == (True, (0,) * 8 + (1, 4))
+        # 2^3000 tuples, 12,000 steps: list length alone is no limit
+        line = MultiVectorSpace((line_space(GF2, (1, 0)),), CLOSED)
+        assert linearly_dependent(line, [tv(GF2, 1, 0)] * 3000) == (True, (0,) * 2998 + (1, 1))
+        # 5 * (1 + 5 + ... + 5^8) = 2,441,405 steps exceed the cap of 2*10^6
+        big = MultiVectorSpace((full_subspace(AmbientId("B", 5, 9)),), CLOSED)
         with pytest.raises(SearchTooLarge):
-            linearly_dependent(m, vectors, coefficient_cap=10**6)
+            linearly_dependent(big, component_basis_vectors(big))
 
     def test_empty_list_independent(self):
         m = MultiVectorSpace((full_subspace(GF2),), TOTAL)

@@ -120,6 +120,16 @@ class TestBruteDependent:
                     for _ in range(rng.randint(1, 4))
                 ]
                 cases.append((m, vectors, linearly_dependent(m, vectors)))
+        # long CLOSED lists from the union, with repeats and zero, revisit
+        # chain states the search has already seen fail
+        for _ in range(150):
+            m = random_one_ambient_instance(rng, CLOSED, primes=(2, 3, 5), max_dim=3)
+            ambient = m.components[0].ambient
+            pool = sorted(union_elements(m), key=lambda v: v.coords)
+            pool.append(zero_vector(ambient))
+            longest = {2: 12, 3: 8, 5: 6}[ambient.p]
+            vectors = [rng.choice(pool) for _ in range(rng.randint(2, longest))]
+            cases.append((m, vectors, linearly_dependent(m, vectors)))
 
         def no_index(space):
             raise AssertionError("the oracle used core's membership index")
