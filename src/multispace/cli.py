@@ -113,16 +113,32 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _count(least: int):
+    """An argparse type for integers of at least `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="multispace", description=__doc__)
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--policy", choices=["TOTAL", "CLOSED"],
                         help="override the instance file policy")
-    shared.add_argument("--cap", type=int, default=729, help="enumeration cap")
+    # only the enumerating commands take a cap; the dependence search has
+    # its own fixed step cap
+    capped = argparse.ArgumentParser(add_help=False, parents=[shared])
+    capped.add_argument("--cap", type=_count(1), default=729, help="enumeration cap")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cmd = sub.add_parser("validate", parents=[shared], help="axiom report")
+    cmd = sub.add_parser("validate", parents=[capped], help="axiom report")
     cmd.add_argument("file")
     cmd.set_defaults(func=_cmd_validate)
 
@@ -135,7 +151,7 @@ def _build_parser() -> _Parser:
     cmd.add_argument("file")
     cmd.set_defaults(func=_cmd_dim)
 
-    cmd = sub.add_parser("check-subspace", parents=[shared],
+    cmd = sub.add_parser("check-subspace", parents=[capped],
                          help="closure criterion verdict")
     cmd.add_argument("file")
     cmd.add_argument("--candidate", required=True, help="candidate instance file")
@@ -149,7 +165,7 @@ def _build_parser() -> _Parser:
 
     cmd = sub.add_parser("search", parents=[shared],
                          help="randomized formula discrepancy search")
-    cmd.add_argument("--trials", type=int, default=100)
+    cmd.add_argument("--trials", type=_count(0), default=100)
     cmd.add_argument("--seed", type=int, default=0)
     cmd.set_defaults(func=_cmd_search)
 

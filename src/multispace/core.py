@@ -274,59 +274,76 @@ def _rank_dependence(
     return False, None
 
 
-def _exhaustive_dependence(
-    space: MultiVectorSpace, vectors: list[TaggedVector]
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Lexicographic depth-first search over chain states.
+class _ChainSearch:
+    """Lexicographic depth-first search over CLOSED chain states of a list.
 
     Every defined prefix lies in the union, so what a prefix allows next
-    depends only on its state (position, accumulator, whether a nonzero
+    depends only on its state (next vector, accumulator, whether a nonzero
     coefficient came before).  Coefficients are tried in order 0..p-1 and a
     state whose subtree held no witness is not entered again, so the first
     witness found is the lexicographically first tuple.  The walk keeps its
     own stack, as a list may be far longer than the recursion limit.
+
+    One search serves every sublist of its list: a chain over a sublist is a
+    chain over the list with coefficient 0 on the left-out vectors, which
+    leaves the accumulator unchanged and is defined for union members.  So a
+    failed state, keyed by the list index of its next vector, stays failed
+    when vectors are left out, and the failed set is kept across calls.
     """
-    ambient = vectors[0].ambient
-    p, m = ambient.p, len(vectors)
-    union_bound = sum(p**c.dim for c in space.components_in(ambient))
-    steps = p * sum(min(p**i, union_bound) for i in range(m))
-    if steps > _SEARCH_STEP_CAP:
-        raise SearchTooLarge(f"{steps} chain-state steps exceed the cap of {_SEARCH_STEP_CAP}")
-    idx = _membership(space)
-    # c*v lies in the components holding v for c != 0, and 0*v in all of them
-    masks = [idx.mask(v) for v in vectors]
-    if not all(masks):
-        return False, None
-    scaled = [[tuple((c * x) % p for x in v.coords) for c in range(p)] for v in vectors]
-    acc_masks: dict[tuple[int, ...], int] = {}
 
-    def children(i: int, acc: tuple[int, ...], seen: bool):
-        yield 0, (i + 1, acc, seen)
-        bits = acc_masks.get(acc)
-        if bits is None:
-            bits = acc_masks[acc] = idx.mask(TaggedVector(ambient, acc))
-        if bits & masks[i]:
-            for c in range(1, p):
-                yield c, (i + 1, tuple((a + b) % p for a, b in zip(acc, scaled[i][c])), True)
+    def __init__(self, space: MultiVectorSpace, vectors: list[TaggedVector]):
+        ambient = vectors[0].ambient
+        p, m = ambient.p, len(vectors)
+        union_bound = sum(p**c.dim for c in space.components_in(ambient))
+        steps = p * sum(min(p**i, union_bound) for i in range(m))
+        if steps > _SEARCH_STEP_CAP:
+            raise SearchTooLarge(f"{steps} chain-state steps exceed the cap of {_SEARCH_STEP_CAP}")
+        self._ambient = ambient
+        self._idx = _membership(space)
+        # c*v lies in the components holding v for c != 0, and 0*v in all of them
+        self._masks = [self._idx.mask(v) for v in vectors]
+        self._scaled = [[tuple((c * x) % p for x in v.coords) for c in range(p)] for v in vectors]
+        self._acc_masks: dict[tuple[int, ...], int] = {}
+        self._failed: set[tuple[int, tuple[int, ...], bool]] = set()
 
-    root = (0, (0,) * ambient.n, False)
-    failed: set[tuple[int, tuple[int, ...], bool]] = set()
-    coeffs = [0] * m
-    path = [(root, children(*root))]
-    while path:
-        state, kids = path[-1]
-        step = next(kids, None)
-        if step is None:
-            failed.add(state)
-            path.pop()
-            continue
-        coeffs[state[0]], nxt = step
-        if nxt[0] == m:
-            if nxt[2] and not any(nxt[1]):
-                return True, tuple(coeffs)
-        elif nxt not in failed:
-            path.append((nxt, children(*nxt)))
-    return False, None
+    def first_witness(self, alive: Sequence[int]) -> tuple[int, ...] | None:
+        """The lexicographically first witness over the vectors at the list
+        indices `alive` (increasing), one coefficient each, or None."""
+        masks, scaled, failed = self._masks, self._scaled, self._failed
+        if not all(masks[k] for k in alive):
+            return None
+        ambient, idx, acc_masks = self._ambient, self._idx, self._acc_masks
+        p, end = ambient.p, len(masks)
+        following = dict(zip(alive, [*alive[1:], end]))
+
+        def children(k: int, acc: tuple[int, ...], seen: bool):
+            after = following[k]
+            yield 0, (after, acc, seen)
+            bits = acc_masks.get(acc)
+            if bits is None:
+                bits = acc_masks[acc] = idx.mask(TaggedVector(ambient, acc))
+            if bits & masks[k]:
+                row = scaled[k]
+                for c in range(1, p):
+                    yield c, (after, tuple((a + b) % p for a, b in zip(acc, row[c])), True)
+
+        root = (alive[0], (0,) * ambient.n, False)
+        coeffs = [0] * end
+        path = [(root, children(*root))]
+        while path:
+            state, kids = path[-1]
+            step = next(kids, None)
+            if step is None:
+                failed.add(state)
+                path.pop()
+                continue
+            coeffs[state[0]], nxt = step
+            if nxt[0] == end:
+                if nxt[2] and not any(nxt[1]):
+                    return tuple(coeffs[k] for k in alive)
+            elif nxt not in failed:
+                path.append((nxt, children(*nxt)))
+        return None
 
 
 def linearly_dependent(
@@ -337,17 +354,19 @@ def linearly_dependent(
     A list spanning several ambients is independent outright under either
     policy, because every full-length chain hits an undefined cross-ambient
     addition.  Under TOTAL policy a single-ambient list reduces to a rank
-    test.  Under CLOSED the search walks chain states, and the witness is the
-    lexicographically first tuple over the given vector order.  It raises
-    SearchTooLarge when its step bound p * sum_{i<m} min(p^i, S) exceeds 2*10^6,
-    for m vectors over GF(p) whose ambient's components hold S = sum p^dim.
+    test.  Under CLOSED one chain-state search (`_ChainSearch`) runs over
+    positions 0..m-1, and the witness is the lexicographically first tuple
+    over the given vector order.  It raises SearchTooLarge when its step
+    bound p * sum_{i<m} min(p^i, S) exceeds 2*10^6, for m vectors over GF(p)
+    whose ambient's components hold S = sum p^dim.
     """
     vectors = list(vectors)
     if not vectors or len({v.ambient for v in vectors}) > 1:
         return False, None
     if space.policy is OperationPolicy.TOTAL:
         return _rank_dependence(vectors)
-    return _exhaustive_dependence(space, vectors)
+    witness = _ChainSearch(space, vectors).first_witness(range(len(vectors)))
+    return witness is not None, witness
 
 
 def linear_span(
@@ -423,9 +442,14 @@ def greedy_basis(
     not: a removed vector can leave union elements that no defined chain
     over the survivors reaches.
 
-    Under TOTAL with one ambient the dependence test is the rank path, and
-    its elimination resumes after each removal instead of restarting (see
-    `_resumed_greedy`); the witnesses, and so the result, are the same.
+    A stacked list over several ambients is independent under either policy
+    and is returned as it is.  With one ambient the dependence test resumes
+    after each removal instead of restarting, and finds the witness a restart
+    would find: under TOTAL the elimination goes on from the victim's
+    position (see `_resumed_greedy`), and under CLOSED one `_ChainSearch`
+    keeps its failed chain states for every removal.  Its step bound is
+    checked once, on the stacked list, and raises SearchTooLarge as
+    `linearly_dependent` does on that list.
     """
     delta = component_basis_vectors(space)
     if removal_order is None:
@@ -441,17 +465,15 @@ def greedy_basis(
         def victim_of(participants: list[int]) -> int:
             return min(participants, key=priority.__getitem__)
 
-    if space.policy is OperationPolicy.TOTAL and len({v.ambient for v in delta}) == 1:
+    if len({v.ambient for v in delta}) != 1:
+        return delta
+    if space.policy is OperationPolicy.TOTAL:
         alive = _resumed_greedy(delta, victim_of)
     else:
+        search = _ChainSearch(space, delta)
         alive = list(range(len(delta)))
-        while alive:
-            current = [delta[i] for i in alive]
-            dependent, witness = linearly_dependent(space, current)
-            if not dependent:
-                break
-            assert witness is not None
-            alive.remove(victim_of([alive[k] for k, c in enumerate(witness) if c != 0]))
+        while (witness := search.first_witness(alive)) is not None:
+            alive.remove(victim_of([k for k, c in zip(alive, witness) if c]))
     return [delta[i] for i in alive]
 
 

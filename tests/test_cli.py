@@ -455,6 +455,34 @@ class TestExitCodes:
         assert main(["check-subspace", "file.ms"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        # only validate and check-subspace enumerate under a cap
+        ["dim", "--cap", "0", "{file}"],
+        ["basis", "--cap", "729", "{file}"],
+        ["compare", "--cap", "729", "{file}", "--other", "{file}"],
+        ["search", "--cap", "729"],
+        ["validate", "--cap", "0", "{file}"],
+        ["validate", "--cap", "-1", "{file}"],
+        ["validate", "--cap", "x", "{file}"],
+        ["check-subspace", "--cap", "0", "{file}", "--candidate", "{file}"],
+        ["search", "--trials", "-3"],
+        ["search", "--trials", "1.5"],
+    ])
+    def test_bad_flags_are_usage_errors(self, minimal_file, capsys, argv):
+        assert main([arg.format(file=minimal_file) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_cap_and_trials_bounds_accepted(self, minimal_file, capsys):
+        # V1 has 2 elements: a cap of 2 holds it, and a cap of 1 is an overrun
+        assert main(["check-subspace", "--cap", "2", minimal_file, "--candidate", minimal_file]) == 0
+        assert capsys.readouterr().out == "subspace=yes\n"
+        assert main(["check-subspace", "--cap", "1", minimal_file, "--candidate", minimal_file]) == 2
+        assert capsys.readouterr().err == "error: 2 vectors exceed the cap of 1\n"
+        assert main(["search", "--trials", "0"]) == 0
+        assert capsys.readouterr().out == "trials=0 findings=0\n"
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()

@@ -36,6 +36,7 @@ from multispace import (
     zero_subspace,
     zero_vector,
 )
+from multispace import core as core_module
 from conftest import (
     brute_axiom_counts,
     brute_inclusion_exclusion,
@@ -311,6 +312,66 @@ class TestGreedyBasis:
             size = len(component_basis_vectors(m))
             order = rng.sample(range(size), size)
             assert greedy_basis(m, removal_order=order) == replay_greedy(m, restart, order)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_resumed_chain_search_matches_restart_loop(self, p):
+        rng = random.Random(700 + p)
+        brute_replays = 0
+        for _ in range(40):
+            ambients = [AmbientId("A", p, rng.randint(1, 4))]
+            if rng.random() < 0.2:
+                ambients.append(AmbientId("B", p, rng.randint(1, 3)))
+            comps = [random_subspace(rng, rng.choice(ambients)) for _ in range(rng.randint(1, 4))]
+            comps += rng.sample(comps, rng.randint(0, min(2, len(comps))))
+            m = MultiVectorSpace(tuple(comps), CLOSED)
+            size = len(component_basis_vectors(m))
+            order = rng.sample(range(size), size)
+            dependence_tests = [lambda vs: linearly_dependent(m, vs)]
+            if p**size <= 20_000:
+                dependence_tests.append(lambda vs: brute_dependent(m, vs))
+                brute_replays += 1
+            for dependent in dependence_tests:
+                assert greedy_basis(m) == replay_greedy(m, dependent)
+                assert greedy_basis(m, removal_order=order) == replay_greedy(m, dependent, order)
+        assert brute_replays >= 10
+
+    def test_one_chain_search_per_basis(self, monkeypatch):
+        searches = []
+
+        class CountingSearch(core_module._ChainSearch):
+            def __init__(self, space, vectors):
+                searches.append(len(vectors))
+                super().__init__(space, vectors)
+
+        def restart(space, vectors):
+            raise AssertionError("greedy_basis restarted its dependence test")
+
+        monkeypatch.setattr(core_module, "_ChainSearch", CountingSearch)
+        monkeypatch.setattr(core_module, "linearly_dependent", restart)
+        rng = random.Random(61)
+        several_removals = 0
+        for _ in range(40):
+            m = random_one_ambient_instance(rng, CLOSED, max_dim=3, max_components=4)
+            stacked = component_basis_vectors(m)
+            searches.clear()
+            basis = greedy_basis(m)
+            assert searches == [len(stacked)]
+            several_removals += len(stacked) - len(basis) >= 2
+        assert several_removals >= 5
+        # the step bound is checked once, on the stacked list: 9 basis rows
+        # of GF(5)^9 take 2,441,405 steps, over the cap
+        big = MultiVectorSpace((full_subspace(AmbientId("B", 5, 9)),), CLOSED)
+        with pytest.raises(SearchTooLarge):
+            greedy_basis(big)
+        # a list over several ambients is independent, so nothing is searched
+        # even where one ambient's part is dependent
+        comps = (line_space(GF2, (1, 0)), line_space(GF2, (1, 0)), line_space(GF2_B, (0, 1)))
+        searches.clear()
+        for policy in (TOTAL, CLOSED):
+            m = MultiVectorSpace(comps, policy)
+            assert greedy_basis(m) == component_basis_vectors(m)
+            assert greedy_basis(m, removal_order=[2, 1, 0]) == component_basis_vectors(m)
+        assert searches == []
 
     def test_custom_removal_order(self):
         m = three_lines_gf2()
