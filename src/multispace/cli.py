@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from typing import Sequence
 
 from .core import (
@@ -172,10 +173,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser, built on the first call and reused: `parse_args` makes a
+    fresh namespace each time and keeps nothing between calls."""
+    return _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

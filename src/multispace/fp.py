@@ -3,6 +3,12 @@
 Residues are plain ints in [0, p); matrices are immutable row-major tuples.
 Everything here is deterministic: elimination always picks the topmost
 nonzero pivot candidate, so reduced forms are canonical and comparable.
+
+Entries are checked once, at the public boundary: `FpMatrix(...)` and
+`FpMatrix.from_rows` check the prime, the shape and every entry.  Matrices
+whose entries are residues by construction (the `rref` result, and the bases
+that `subspace` builds from reduced rows) are built through `_trusted`, which
+skips those checks.
 """
 
 from __future__ import annotations
@@ -96,6 +102,17 @@ class FpMatrix:
         return [self.row(i) for i in range(self.rows)]
 
 
+def _trusted(p: int, rows: int, cols: int, entries: tuple[int, ...]) -> FpMatrix:
+    """An FpMatrix over `rows * cols` residues mod the prime p, built without
+    the checks in `FpMatrix.__post_init__`."""
+    m = object.__new__(FpMatrix)
+    object.__setattr__(m, "p", p)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+    return m
+
+
 class RrefResult(NamedTuple):
     matrix: FpMatrix
     rank: int
@@ -131,7 +148,7 @@ def rref(m: FpMatrix) -> RrefResult:
         if r == m.rows:
             break
     flat = tuple(x for row in rows for x in row)
-    return RrefResult(FpMatrix(p, m.rows, m.cols, flat), r, tuple(pivots))
+    return RrefResult(_trusted(p, m.rows, m.cols, flat), r, tuple(pivots))
 
 
 def solve_membership(basis: FpMatrix, v: Sequence[int]) -> tuple[int, ...] | None:

@@ -1,23 +1,27 @@
 """Canonical subspaces of an ambient coordinate space GF(p)^n.
 
 A subspace is stored as its reduced-echelon basis, so equality of subspaces
-is plain equality of matrices.  Sum and intersection come out of a single
-stacked elimination: reducing [A|A; B|0] leaves sum rows in the left block
-and intersection rows in the right block.
+is plain equality of matrices.  The sum is the span of both bases stacked.
+The intersection reads the parity checks of one operand straight off its
+reduced basis (one check per non-pivot column) and reduces the rows m of the
+other's basis as [checks(m) | m]: the reduced rows whose check block is zero
+carry the meet in their right block.
 
 The canonical form is checked once, at the public boundary: `Subspace(...)`
 re-reduces the basis it is given.  The producers here (`span`, sum and
 intersection, the zero and full subspaces) already hold a reduced basis, so
-they build through `_canonical`, which skips that check.
+they build through `_canonical`, which skips that check, over matrices built
+through `fp._trusted`, which skips the entry check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import AmbientMismatch, DimensionMismatch, EnumerationTooLarge
-from .fp import FpMatrix, check_prime, rref, solve_membership
+from .fp import FpMatrix, _trusted, check_prime, rref, solve_membership
 
 DEFAULT_ENUMERATION_CAP = 729
 
@@ -70,10 +74,50 @@ class Subspace:
         return solve_membership(self.basis, v) is not None
 
     def sum(self, other: Subspace) -> Subspace:
-        return _zassenhaus(self, other)[0]
+        _check_same_ambient(self, other)
+        ambient = self.ambient
+        stacked = _trusted(
+            ambient.p, self.dim + other.dim, ambient.n, self.basis.entries + other.basis.entries
+        )
+        return span(ambient, stacked)
 
     def intersect(self, other: Subspace) -> Subspace:
-        return _zassenhaus(self, other)[1]
+        """The meet, from one reduction of the rows m of this basis stacked as
+        [checks(m) | m], where `checks` are the parity checks of `other`."""
+        _check_same_ambient(self, other)
+        ambient = self.ambient
+        n, p = ambient.n, ambient.p
+        basis = other.rows()
+        # a reduced row's leading entry is its first 1, and its pivot column
+        # is zero in every other row, so for each non-pivot column j
+        # x -> x[j] - sum_i basis[i][j] * x[pivot_i] vanishes exactly on `other`.
+        # The syndrome of x (all checks at once) is x - sum_i x[pivot_i] * basis[i]
+        # on the non-pivot columns.
+        pivots = [row.index(1) for row in basis]
+        free = [j for j in range(n) if j not in pivots]
+        pivot_rows = [(piv, [row[j] for j in free]) for piv, row in zip(pivots, basis)]
+        k = len(free)
+        width = k + n
+        stacked: list[int] = []
+        for m in self.rows():
+            syndrome = [m[j] for j in free]
+            for piv, row in pivot_rows:
+                c = m[piv]
+                if c:
+                    syndrome = [s - c * x for s, x in zip(syndrome, row)]
+            stacked.extend([s % p for s in syndrome])
+            stacked.extend(m)
+        reduced = rref(_trusted(p, self.dim, width, tuple(stacked)))
+        # the rows with a zero check block come last and span the vectors of
+        # this space that pass every check; their right blocks are in reduced
+        # echelon form, because their pivots are pivots of the stacked
+        # reduction, cleared in every other row
+        first = bisect_left(reduced.pivots, k)
+        entries = reduced.matrix.entries
+        meet = tuple(
+            x for i in range(first, reduced.rank) for x in entries[i * width + k : (i + 1) * width]
+        )
+        return _canonical(ambient, _trusted(p, reduced.rank - first, n, meet))
 
     def enumerate(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
         """All p^dim vectors, in lexicographic order of basis coefficients."""
@@ -101,7 +145,7 @@ def span(ambient: AmbientId, generators: FpMatrix) -> Subspace:
             f"generators have {generators.cols} columns for ambient of dimension {ambient.n}"
         )
     reduced = rref(generators)
-    basis = FpMatrix(
+    basis = _trusted(
         ambient.p, reduced.rank, ambient.n, reduced.matrix.entries[: reduced.rank * ambient.n]
     )
     return _canonical(ambient, basis)
@@ -117,41 +161,16 @@ def _canonical(ambient: AmbientId, basis: FpMatrix) -> Subspace:
 
 
 def zero_subspace(ambient: AmbientId) -> Subspace:
-    return _canonical(ambient, FpMatrix(ambient.p, 0, ambient.n, ()))
+    return _canonical(ambient, _trusted(ambient.p, 0, ambient.n, ()))
 
 
 def full_subspace(ambient: AmbientId) -> Subspace:
     rows = tuple(
         1 if j == i else 0 for i in range(ambient.n) for j in range(ambient.n)
     )
-    return _canonical(ambient, FpMatrix(ambient.p, ambient.n, ambient.n, rows))
+    return _canonical(ambient, _trusted(ambient.p, ambient.n, ambient.n, rows))
 
 
-def _zassenhaus(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
-    """Bases of the sum and the intersection from one stacked reduction."""
+def _check_same_ambient(s1: Subspace, s2: Subspace) -> None:
     if s1.ambient != s2.ambient:
         raise AmbientMismatch(f"{s1.ambient} vs {s2.ambient}")
-    n = s1.ambient.n
-    p = s1.ambient.p
-    stacked: list[tuple[int, ...]] = []
-    for row in s1.rows():
-        stacked.append(row + row)
-    zero = (0,) * n
-    for row in s2.rows():
-        stacked.append(row + zero)
-    reduced = rref(FpMatrix.from_rows(p, stacked, cols=2 * n))
-    sum_rows: list[tuple[int, ...]] = []
-    inter_rows: list[tuple[int, ...]] = []
-    for i in range(reduced.rank):
-        row = reduced.matrix.row(i)
-        if any(row[:n]):
-            sum_rows.append(row[:n])
-        else:
-            inter_rows.append(row[n:])
-    ambient = s1.ambient
-    # the left blocks of the sum rows and the right blocks of the intersection
-    # rows are each in reduced echelon form: their pivots are pivots of the
-    # stacked reduction, cleared in every other row
-    sum_space = _canonical(ambient, FpMatrix.from_rows(p, sum_rows, cols=n))
-    inter_space = _canonical(ambient, FpMatrix.from_rows(p, inter_rows, cols=n))
-    return sum_space, inter_space

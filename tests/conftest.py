@@ -14,6 +14,7 @@ from multispace import (
     TaggedVector,
     brute_intersection,
     component_basis_vectors,
+    rref,
     span,
 )
 
@@ -22,6 +23,32 @@ def random_subspace(rng: random.Random, ambient: AmbientId, max_gens: int | None
     g = rng.randint(0, ambient.n if max_gens is None else max_gens)
     entries = tuple(rng.randrange(ambient.p) for _ in range(g * ambient.n))
     return span(ambient, FpMatrix(ambient.p, g, ambient.n, entries))
+
+
+def zassenhaus(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
+    """Reference sum and intersection from Zassenhaus's stacked reduction.
+
+    Reducing [A|A; B|0] leaves sum rows (nonzero left block) and intersection
+    rows (zero left block, the meet in the right block).  Each block set is in
+    reduced echelon form, because its pivots are pivots of the stacked
+    reduction, cleared in every other row; the public `Subspace(...)`
+    constructor re-checks that here.
+    """
+    n, p = s1.ambient.n, s1.ambient.p
+    stacked = [row + row for row in s1.rows()] + [row + (0,) * n for row in s2.rows()]
+    reduced = rref(FpMatrix.from_rows(p, stacked, cols=2 * n))
+    sum_rows: list[tuple[int, ...]] = []
+    inter_rows: list[tuple[int, ...]] = []
+    for i in range(reduced.rank):
+        row = reduced.matrix.row(i)
+        if any(row[:n]):
+            sum_rows.append(row[:n])
+        else:
+            inter_rows.append(row[n:])
+    return (
+        Subspace(s1.ambient, FpMatrix.from_rows(p, sum_rows, cols=n)),
+        Subspace(s1.ambient, FpMatrix.from_rows(p, inter_rows, cols=n)),
+    )
 
 
 def random_one_ambient_instance(

@@ -18,6 +18,7 @@ from multispace import (
     parse_instance,
     random_instance,
 )
+from multispace import cli as cli_module
 from multispace import search as search_module
 from multispace.cli import main
 
@@ -78,6 +79,67 @@ VALIDATE_RECORDED = [
     ("two_ambients", "CLOSED", (68, 117, 61)),
     ("gf2_planes", "TOTAL", (72, 343, 28)),
     ("gf2_planes", "CLOSED", (72, 169, 28)),
+]
+
+# instances at large primes whose components share generators, so their meets
+# are nontrivial and inclusion-exclusion can overshoot the greedy basis
+LARGE_P_FIXTURES = {
+    "gf101_a": (
+        "policy TOTAL\nambient A p=101 n=4\n"
+        "space V1 in A gen 47,77,60,80\n"
+        "space V2 in A gen 24,91,60,69\n"
+        "space V3 in A gen 70,60,50,81; 30,75,69,16\n"
+        "space V4 in A gen 47,77,60,80\n"
+        "space V5 in A gen 74,8,77,1\n"
+    ),
+    "gf101_b": (
+        "policy TOTAL\nambient A p=101 n=4\n"
+        "space V1 in A gen 74,8,77,1\n"
+        "space V2 in A gen 24,91,60,69; 60,33,70,29\n"
+        "space V3 in A gen 60,33,70,29; 24,91,60,69\n"
+        "space V4 in A gen 47,77,60,80; 74,8,77,1\n"
+    ),
+    "m31_a": (
+        "policy TOTAL\nambient A p=2147483647 n=4\n"
+        "space V1 in A gen 1256437082,875262509,1254671178,499046146; "
+        "209281550,77065967,291990909,1062754042\n"
+        "space V2 in A gen 828641474,1232704445,753574530,1146977644; "
+        "465975918,554010463,2073352804,1443197553\n"
+        "space V3 in A gen 828641474,1232704445,753574530,1146977644; "
+        "1256437082,875262509,1254671178,499046146\n"
+        "space V4 in A gen 1256437082,875262509,1254671178,499046146\n"
+        "space V5 in A gen 1256437082,875262509,1254671178,499046146\n"
+    ),
+    "m31_b": (
+        "policy TOTAL\nambient A p=2147483647 n=4\n"
+        "space V1 in A gen 936650469,1672830881,1345716944,1836582957; "
+        "209281550,77065967,291990909,1062754042\n"
+        "space V2 in A gen 646448839,904409541,1089296008,1789878482\n"
+        "space V3 in A gen 209281550,77065967,291990909,1062754042; "
+        "936650469,1672830881,1345716944,1836582957\n"
+        "space V4 in A gen 646448839,904409541,1089296008,1789878482\n"
+    ),
+}
+
+# stdout of `multispace dim` and `compare` on those files, recorded when the
+# intersection was still taken from the stacked Zassenhaus reduction
+LARGE_P_RECORDED = [
+    (["dim", "gf101_a"], "greedy=4 inclusion-exclusion=5 agree=no\n"),
+    (["dim", "gf101_b"], "greedy=4 inclusion-exclusion=4 agree=yes\n"),
+    (["dim", "m31_a"], "greedy=4 inclusion-exclusion=4 agree=yes\n"),
+    (["dim", "m31_b"], "greedy=3 inclusion-exclusion=3 agree=yes\n"),
+    (
+        ["compare", "gf101_a", "--other", "gf101_b"],
+        "dim-union=4 dim-first=4 dim-second=4 dim-intersection=3 additive=5 agree=no\n",
+    ),
+    (
+        ["compare", "gf101_b", "--other", "gf101_a"],
+        "dim-union=4 dim-first=4 dim-second=4 dim-intersection=3 additive=5 agree=no\n",
+    ),
+    (
+        ["compare", "m31_a", "--other", "m31_b"],
+        "dim-union=4 dim-first=4 dim-second=3 dim-intersection=1 additive=6 agree=no\n",
+    ),
 ]
 
 
@@ -391,6 +453,47 @@ class TestCommands:
         assert capsys.readouterr().out == (
             "dim-union=2 dim-first=1 dim-second=1 dim-intersection=0 additive=2 agree=yes\n"
         )
+
+    @pytest.mark.parametrize("argv, out", LARGE_P_RECORDED)
+    def test_large_prime_recorded(self, tmp_path, capsys, argv, out):
+        for name, text in LARGE_P_FIXTURES.items():
+            (tmp_path / f"{name}.ms").write_text(text)
+        paths = [str(tmp_path / f"{a}.ms") if a in LARGE_P_FIXTURES else a for a in argv]
+        assert main(paths) == 0
+        assert capsys.readouterr().out == out
+
+    def test_parser_built_once(self, monkeypatch, three_lines_file, capsys):
+        # a run of calls on one parser prints what the same calls print on
+        # fresh parsers: no option value or usage error carries over
+        runs = [
+            ["dim", "--policy", "CLOSED", three_lines_file],
+            ["dim", three_lines_file],
+            ["check-subspace", three_lines_file],
+            ["basis", three_lines_file],
+        ]
+
+        def call(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in runs:
+            cli_module._parser.cache_clear()
+            fresh.append(call(argv))
+        builds = []
+        build = cli_module._build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        cli_module._parser.cache_clear()
+        monkeypatch.setattr(cli_module, "_build_parser", counting_build)
+        assert [call(argv) for argv in runs] == fresh
+        assert len(builds) == 1
+        assert [code for code, _, _ in fresh] == [0, 0, 1, 0]
+        assert fresh[0][1] != fresh[1][1]
 
     def test_search_deterministic_in_process(self, capsys):
         assert main(["search", "--trials", "50", "--seed", "7"]) == 0

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multispace import (
+    AmbientId,
     DimensionMismatch,
     FpMatrix,
     FpScalar,
+    SemanticError,
+    Subspace,
     ZeroInverse,
     fp_inv,
     is_prime,
+    parse_instance,
     rref,
     solve_membership,
 )
@@ -96,6 +100,54 @@ class TestFpMatrix:
     def test_from_rows_ragged(self):
         with pytest.raises(DimensionMismatch):
             FpMatrix.from_rows(3, [(1, 2), (1,)])
+
+
+def _parse_space(p: int, n: int, gen: str):
+    return parse_instance(f"policy TOTAL\nambient A p={p} n={n}\nspace V in A gen {gen}\n")
+
+
+# (entry point, defect) -> (call, expected exception).  The library builds its
+# own matrices without these checks, so each public entry point must keep them.
+MALFORMED = {
+    ("FpMatrix", "non-residue"): (lambda: FpMatrix(5, 1, 2, (1, 5)), ValueError),
+    ("FpMatrix", "wrong length"): (lambda: FpMatrix(5, 1, 2, (1,)), DimensionMismatch),
+    ("FpMatrix", "non-prime"): (lambda: FpMatrix(6, 1, 2, (1, 0)), ValueError),
+    ("from_rows", "non-residue"): (lambda: FpMatrix.from_rows(5, [(1, -1)]), ValueError),
+    ("from_rows", "wrong length"): (
+        lambda: FpMatrix.from_rows(5, [(1, 0)], cols=3), DimensionMismatch
+    ),
+    ("from_rows", "non-prime"): (lambda: FpMatrix.from_rows(6, [(1, 0)]), ValueError),
+    ("Subspace", "non-residue"): (
+        lambda: Subspace(AmbientId("A", 5, 2), FpMatrix(5, 1, 2, (1, 7))), ValueError
+    ),
+    ("Subspace", "wrong length"): (
+        lambda: Subspace(AmbientId("A", 5, 3), FpMatrix(5, 1, 2, (1, 0))), DimensionMismatch
+    ),
+    ("Subspace", "non-prime"): (
+        lambda: Subspace(AmbientId("A", 6, 2), FpMatrix(5, 1, 2, (1, 0))), ValueError
+    ),
+    ("parse_instance", "non-residue"): (lambda: _parse_space(5, 2, "1,5"), SemanticError),
+    ("parse_instance", "wrong length"): (lambda: _parse_space(5, 2, "1,0,1"), SemanticError),
+    ("parse_instance", "non-prime"): (lambda: _parse_space(6, 2, "1,0"), SemanticError),
+}
+
+
+class TestPublicBoundary:
+    @pytest.mark.parametrize("entry, defect", list(MALFORMED))
+    def test_malformed_input_raises(self, entry, defect):
+        call, expected = MALFORMED[entry, defect]
+        with pytest.raises(expected):
+            call()
+
+    def test_trusted_results_equal_checked_matrices(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            p = rng.choice([2, 3, 101, 2**31 - 1])
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            m = FpMatrix(p, rows, cols, tuple(rng.randrange(p) for _ in range(rows * cols)))
+            out = rref(m).matrix
+            checked = FpMatrix(p, out.rows, out.cols, out.entries)
+            assert out == checked and hash(out) == hash(checked)
 
 
 class TestRref:

@@ -18,7 +18,7 @@ from multispace import (
 )
 from multispace import subspace as subspace_module
 from multispace.fp import rref
-from conftest import line_space, random_subspace
+from conftest import line_space, random_subspace, zassenhaus
 
 GF2_PLANE = AmbientId("A", 2, 2)
 GF3_PLANE = AmbientId("A", 3, 2)
@@ -169,6 +169,82 @@ class TestSumIntersect:
             a = random_subspace(rng, ambient)
             b = random_subspace(rng, ambient)
             assert a.sum(b).dim + a.intersect(b).dim == a.dim + b.dim
+
+
+def combinations_of(rng: random.Random, s: Subspace, count: int) -> list[tuple[int, ...]]:
+    """`count` random linear combinations of the basis rows of s."""
+    p, n = s.ambient.p, s.ambient.n
+    out = []
+    for _ in range(count):
+        acc = [0] * n
+        for row in s.rows():
+            c = rng.randrange(p)
+            acc = [(a + c * x) % p for a, x in zip(acc, row)]
+        out.append(tuple(acc))
+    return out
+
+
+def structured_pair(rng: random.Random, ambient: AmbientId, kind: str) -> tuple[Subspace, Subspace]:
+    p, n = ambient.p, ambient.n
+
+    def gens(rows):
+        return span(ambient, FpMatrix.from_rows(p, rows, cols=n))
+
+    def vectors(count):
+        return [tuple(rng.randrange(p) for _ in range(n)) for _ in range(count)]
+
+    a = random_subspace(rng, ambient)
+    if kind == "random":
+        return a, random_subspace(rng, ambient)
+    if kind == "zero":
+        return a, zero_subspace(ambient)
+    if kind == "full":
+        return a, full_subspace(ambient)
+    if kind == "equal":
+        # the same space from other generators
+        while True:
+            b = gens(combinations_of(rng, a, a.dim + rng.randint(0, 2)))
+            if b.dim == a.dim:
+                return a, b
+    if kind == "nested":
+        return a, gens(combinations_of(rng, a, rng.randint(0, a.dim)))
+    if kind == "shared":
+        # common generators plus generators of each side's own
+        common = vectors(rng.randint(0, n))
+        return gens(common + vectors(rng.randint(0, n))), gens(common + vectors(rng.randint(0, n)))
+    assert kind == "trivial"
+    while True:
+        rows = vectors(rng.randint(0, n))
+        cut = rng.randint(0, len(rows))
+        a, b = gens(rows[:cut]), gens(rows[cut:])
+        if a.dim + b.dim == gens(rows).dim:
+            return a, b
+
+
+class TestAgainstZassenhaus:
+    """`intersect` and `sum` give the same basis entries as the stacked
+    Zassenhaus reduction in conftest, in both argument orders."""
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+    @pytest.mark.parametrize(
+        "kind", ["random", "zero", "full", "equal", "nested", "shared", "trivial"]
+    )
+    def test_same_bases(self, p, kind):
+        rng = random.Random(f"{p}-{kind}")
+        for _ in range(60):
+            ambient = AmbientId("A", p, rng.randint(0, 16))
+            a, b = structured_pair(rng, ambient, kind)
+            for x, y in ((a, b), (b, a)):
+                ref_sum, ref_meet = zassenhaus(x, y)
+                assert x.intersect(y).basis == ref_meet.basis
+                assert x.sum(y).basis == ref_sum.basis
+            meet = a.intersect(b)
+            if kind in ("zero", "trivial"):
+                assert meet.dim == 0
+            elif kind in ("full", "nested"):
+                assert meet == (a if kind == "full" else b)
+            elif kind == "equal":
+                assert meet == a == b == a.sum(b)
 
 
 class TestEquality:
