@@ -33,8 +33,8 @@ from .errors import (
     SearchTooLarge,
     TooManyComponents,
 )
-from .fp import FpScalar
-from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace
+from .fp import FpScalar, _residues, _trusted
+from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace, span
 
 DEFAULT_SUBSET_CAP = 12
 
@@ -63,8 +63,8 @@ class TaggedVector:
             raise ValueError(
                 f"vector of length {len(self.coords)} in ambient of dimension {self.ambient.n}"
             )
-        if any(not 0 <= x < self.ambient.p for x in self.coords):
-            raise ValueError(f"coords must be residues in [0, {self.ambient.p})")
+        if not _residues(self.coords, self.ambient.p):
+            raise ValueError(f"coords must be int residues in [0, {self.ambient.p})")
 
     @property
     def is_zero(self) -> bool:
@@ -193,10 +193,9 @@ def _addition_defined(
 
 
 def union_contains(space: MultiVectorSpace, v: TaggedVector) -> bool:
-    """Whether some component with a matching ambient contains v."""
-    return any(
-        comp.contains(v.coords) for comp in space.components if comp.ambient == v.ambient
-    )
+    """Whether some component with a matching ambient contains v, read off the
+    instance's membership index (`_membership`)."""
+    return _membership(space).in_some(v)
 
 
 def evaluate_chain(
@@ -413,7 +412,7 @@ def linear_span(
         frontier = fresh
     if len(reachable) > enumeration_cap:
         raise EnumerationTooLarge(f"closure exceeds the enumeration cap of {enumeration_cap}")
-    return {v for v in reachable if union_contains(space, v)}
+    return {v for v in reachable if idx.in_some(v)}
 
 
 def component_basis_vectors(space: MultiVectorSpace) -> list[TaggedVector]:
@@ -532,18 +531,6 @@ def basis_invariance_check(
     return InvarianceReport(trials=trials, seed=seed, cardinalities=tuple(cards))
 
 
-def _candidate_union(
-    candidate: MultiVectorSpace | Iterable[TaggedVector],
-    enumeration_cap: int,
-) -> set[TaggedVector]:
-    if isinstance(candidate, MultiVectorSpace):
-        out: set[TaggedVector] = set()
-        for comp in candidate.components:
-            out.update(TaggedVector(comp.ambient, v) for v in comp.enumerate(enumeration_cap))
-        return out
-    return set(candidate)
-
-
 def is_multi_subspace(
     candidate: MultiVectorSpace | Iterable[TaggedVector],
     parent: MultiVectorSpace,
@@ -551,22 +538,35 @@ def is_multi_subspace(
 ) -> bool:
     """Closure criterion: every defined alpha*a + b over the candidate stays inside.
 
-    The candidate may be an instance (its union is enumerated) or an explicit
-    set of tagged vectors, which allows testing arbitrary subsets of a parent
-    union.  Operation existence follows the parent's policy and components.
+    The candidate may be an instance (its union is enumerated under the cap,
+    the only work the cap bounds) or an explicit set of tagged vectors.
+    alpha*a + b exists exactly when a and b share an operation group of the
+    parent: an ambient under TOTAL, a component under CLOSED.  A group is a
+    subspace, so the candidate is closed exactly when it lies in the parent
+    union and each nonempty slice S of it by group is a subspace, that is
+    |S| = p^rank(S): one rank per slice, no pairwise loop.
     """
-    union = _candidate_union(candidate, enumeration_cap)
-    if not all(union_contains(parent, v) for v in union):
-        return False
+    if isinstance(candidate, MultiVectorSpace):
+        candidate = [
+            TaggedVector(comp.ambient, v)
+            for comp in candidate.components
+            for v in comp.enumerate(enumeration_cap)
+        ]
     idx = _membership(parent)
-    for a in union:
-        if not _scalar_defined(parent, idx, a):
-            continue
-        for alpha in range(a.ambient.p):
-            t = _scale(alpha, a)
-            for b in union:
-                if _addition_defined(parent, idx, t, b) and _add(t, b) not in union:
-                    return False
+    total = parent.policy is OperationPolicy.TOTAL
+    slices: dict[AmbientId | int, list[TaggedVector]] = {}
+    for v in set(candidate):
+        bits = idx.mask(v)
+        if not bits:
+            return False
+        groups = [v.ambient] if total else [i for i in range(bits.bit_length()) if bits >> i & 1]
+        for group in groups:
+            slices.setdefault(group, []).append(v)
+    for members in slices.values():
+        amb = members[0].ambient
+        gens = _trusted(amb.p, len(members), amb.n, tuple(x for v in members for x in v.coords))
+        if amb.p ** span(amb, gens).dim != len(members):
+            return False
     return True
 
 

@@ -5,7 +5,9 @@ Everything here is deterministic: elimination always picks the topmost
 nonzero pivot candidate, so reduced forms are canonical and comparable.
 
 Entries are checked once, at the public boundary: `FpMatrix(...)` and
-`FpMatrix.from_rows` check the prime, the shape and every entry.  Matrices
+`FpMatrix.from_rows` check the prime, the shape and every entry, which must
+be an int (a bool is not) in [0, p).  `FpScalar`, `solve_membership` and
+`core.TaggedVector` hold their entries to the same test, `_residues`.  Matrices
 whose entries are residues by construction (the `rref` result, and the bases
 that `subspace` builds from reduced rows) are built through `_trusted`, which
 skips those checks.
@@ -43,6 +45,11 @@ def check_prime(p: int) -> None:
         raise ValueError(f"modulus must be a prime <= 2**31, got {p!r}")
 
 
+def _residues(values: Sequence, p: int) -> bool:
+    """Whether every value is an int (a bool is not) in [0, p), in one pass."""
+    return all(type(x) is int and 0 <= x < p for x in values)
+
+
 @dataclass(frozen=True)
 class FpScalar:
     """A residue in GF(p)."""
@@ -52,7 +59,7 @@ class FpScalar:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        if not isinstance(self.value, int) or not 0 <= self.value < self.p:
+        if not _residues((self.value,), self.p):
             raise ValueError(f"value {self.value!r} is not a residue mod {self.p}")
 
 
@@ -81,8 +88,8 @@ class FpMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        if any(not 0 <= x < self.p for x in self.entries):
-            raise ValueError(f"entries must be residues in [0, {self.p})")
+        if not _residues(self.entries, self.p):
+            raise ValueError(f"entries must be int residues in [0, {self.p})")
 
     @classmethod
     def from_rows(cls, p: int, rows: Sequence[Sequence[int]], cols: int | None = None) -> FpMatrix:
@@ -162,8 +169,8 @@ def solve_membership(basis: FpMatrix, v: Sequence[int]) -> tuple[int, ...] | Non
     if len(v) != basis.cols:
         raise DimensionMismatch(f"vector length {len(v)} != {basis.cols} columns")
     p = basis.p
-    if any(not 0 <= x < p for x in v):
-        raise ValueError(f"vector entries must be residues in [0, {p})")
+    if not _residues(v, p):
+        raise ValueError(f"vector entries must be int residues in [0, {p})")
     rows = basis.row_list()
     coeffs = []
     for row in rows:

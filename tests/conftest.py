@@ -184,3 +184,57 @@ def brute_inclusion_exclusion(space: MultiVectorSpace) -> int:
                 dim += 1
             total += dim if size % 2 else -dim
     return total
+
+
+def group_semantics_cases() -> list[tuple[str, object, MultiVectorSpace, bool]]:
+    """(name, candidate, parent, verdict) for the subspace criterion.
+
+    alpha*a + b exists when a and b share an operation group of the parent:
+    an ambient under TOTAL, a component holding both under CLOSED.  So the
+    union of two lines is closed under CLOSED but not under TOTAL, and three
+    lines of GF(2)^2 are closed under TOTAL because their union is the plane.
+    """
+    a, b = AmbientId("A", 2, 2), AmbientId("B", 3, 2)
+    total, closed = OperationPolicy.TOTAL, OperationPolicy.CLOSED
+    e1, e2, e12 = line_space(a, (1, 0)), line_space(a, (0, 1)), line_space(a, (1, 1))
+    plane_a = line_space(a, (1, 0), (0, 1))
+    line_b, plane_b = line_space(b, (1, 2)), line_space(b, (1, 0), (0, 1))
+
+    def space(policy, *components):
+        return MultiVectorSpace(components, policy)
+
+    return [
+        ("two lines, CLOSED", space(closed, e1, e2), space(closed, e1, e2), True),
+        ("two lines, TOTAL", space(total, e1, e2), space(total, e1, e2), False),
+        ("two lines in a plane, CLOSED", space(closed, e1, e2), space(closed, plane_a), False),
+        ("three lines fill the plane", space(total, e1, e2, e12), space(total, plane_a), True),
+        ("three lines in three lines", space(total, e1, e2, e12), space(total, e1, e2, e12), True),
+        ("two ambients, TOTAL", space(total, e1, line_b), space(total, e1, e2, plane_b), True),
+        (
+            "two ambients, open slice, TOTAL",
+            space(total, e1, line_b, e2),
+            space(total, e1, e2, plane_b),
+            False,
+        ),
+        (
+            "two ambients, CLOSED",
+            space(closed, e1, line_b, e2),
+            space(closed, e1, e2, plane_b),
+            True,
+        ),
+        ("nested components", space(total, e12, plane_a, e12), space(total, plane_a), True),
+        (
+            "foreign ambient",
+            {TaggedVector(a, (0, 0)), TaggedVector(AmbientId("C", 2, 2), (0, 0))},
+            space(total, plane_a),
+            False,
+        ),
+        (
+            "same label, other prime",
+            {TaggedVector(AmbientId("A", 3, 2), (0, 0))},
+            space(closed, plane_a),
+            False,
+        ),
+        ("empty set, TOTAL", set(), space(total, e1), True),
+        ("empty set, CLOSED", set(), space(closed, e1, line_b), True),
+    ]

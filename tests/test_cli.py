@@ -143,6 +143,50 @@ LARGE_P_RECORDED = [
 ]
 
 
+CHECK_FIXTURES = {
+    "gf2_two_lines": (
+        "policy CLOSED\nambient A p=2 n=2\nspace V1 in A gen 1,0\nspace V2 in A gen 0,1\n"
+    ),
+    "gf2_three_lines": THREE_LINES,
+    "gf2_plane": "policy TOTAL\nambient A p=2 n=2\nspace V1 in A gen 1,0; 0,1\n",
+    "two_ambients": (
+        "policy TOTAL\nambient A p=2 n=2\nambient B p=3 n=2\n"
+        "space V1 in A gen 1,0\n"
+        "space V2 in A gen 0,1\n"
+        "space V3 in B gen 1,2\n"
+        "space V4 in B gen 0,1; 1,0\n"
+    ),
+    "two_ambients_sub": (
+        "policy CLOSED\nambient A p=2 n=2\nambient B p=3 n=2\n"
+        "space W1 in A gen 1,0\n"
+        "space W2 in B gen 1,2\n"
+    ),
+    "gf3_plane": "policy TOTAL\nambient B p=3 n=2\nspace V1 in B gen 1,0; 0,1\n",
+}
+
+CAP_8_ERROR = "error: 9 vectors exceed the cap of 8\n"
+
+# (parent, candidate, extra flags) -> (exit code, stdout, stderr) of
+# `multispace check-subspace`, recorded when the criterion still looped over
+# every alpha*a + b of the candidate
+CHECK_RECORDED = [
+    (("gf2_two_lines", "gf2_two_lines"), (0, "subspace=yes\n", "")),
+    (("gf2_two_lines", "gf2_two_lines", "--policy", "TOTAL"), (0, "subspace=no\n", "")),
+    (("gf2_plane", "gf2_three_lines"), (0, "subspace=yes\n", "")),
+    (("gf2_plane", "gf2_two_lines", "--policy", "CLOSED"), (0, "subspace=no\n", "")),
+    (("gf2_three_lines", "gf2_two_lines", "--policy", "TOTAL"), (0, "subspace=no\n", "")),
+    (("gf2_three_lines", "gf2_two_lines", "--policy", "CLOSED"), (0, "subspace=yes\n", "")),
+    (("two_ambients", "two_ambients_sub"), (0, "subspace=yes\n", "")),
+    (("two_ambients", "two_ambients_sub", "--policy", "CLOSED"), (0, "subspace=yes\n", "")),
+    (("two_ambients", "gf2_two_lines", "--policy", "TOTAL"), (0, "subspace=no\n", "")),
+    (("two_ambients", "gf3_plane", "--policy", "CLOSED"), (0, "subspace=yes\n", "")),
+    (("gf2_plane", "gf3_plane"), (0, "subspace=no\n", "")),
+    (("gf2_plane", "gf2_three_lines", "--cap", "8"), (0, "subspace=yes\n", "")),
+    (("two_ambients", "gf3_plane", "--cap", "8"), (2, "", CAP_8_ERROR)),
+    (("gf2_plane", "gf3_plane", "--cap", "8"), (2, "", CAP_8_ERROR)),
+]
+
+
 @st.composite
 def canonical_text(draw):
     """Instance text as format_instance writes it: spaces V1..Vk with RREF
@@ -461,6 +505,17 @@ class TestCommands:
         paths = [str(tmp_path / f"{a}.ms") if a in LARGE_P_FIXTURES else a for a in argv]
         assert main(paths) == 0
         assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("args, recorded", CHECK_RECORDED)
+    def test_check_subspace_recorded(self, tmp_path, capsys, args, recorded):
+        for name, text in CHECK_FIXTURES.items():
+            (tmp_path / f"{name}.ms").write_text(text)
+        parent, candidate, *flags = args
+        argv = ["check-subspace", str(tmp_path / f"{parent}.ms")]
+        argv += ["--candidate", str(tmp_path / f"{candidate}.ms"), *flags]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == recorded
 
     def test_parser_built_once(self, monkeypatch, three_lines_file, capsys):
         # a run of calls on one parser prints what the same calls print on

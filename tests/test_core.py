@@ -20,6 +20,7 @@ from multispace import (
     additive_formula_check,
     basis_invariance_check,
     brute_dependent,
+    brute_subspace_check,
     component_basis_vectors,
     dim_greedy,
     dim_inclusion_exclusion,
@@ -40,6 +41,7 @@ from multispace import core as core_module
 from conftest import (
     brute_axiom_counts,
     brute_inclusion_exclusion,
+    group_semantics_cases,
     line_space,
     random_one_ambient_instance,
     random_subspace,
@@ -448,6 +450,36 @@ class TestIsMultiSubspace:
     def test_candidate_outside_parent_union(self):
         parent = MultiVectorSpace((line_space(GF2, (1, 0)),), TOTAL)
         assert not is_multi_subspace({tv(GF2, 0, 1)}, parent)
+
+    @pytest.mark.parametrize(
+        "candidate, parent, verdict",
+        [pytest.param(*case[1:], id=case[0]) for case in group_semantics_cases()],
+    )
+    def test_group_semantics(self, candidate, parent, verdict):
+        assert is_multi_subspace(candidate, parent) is verdict
+        assert brute_subspace_check(candidate, parent) is verdict
+
+    @pytest.mark.parametrize("policy", [TOTAL, CLOSED])
+    def test_decides_without_chain_steps(self, monkeypatch, policy):
+        # one rank per operation group: no alpha*a + b is ever formed
+        rng = random.Random(131)
+        cases = [(c, p) for _, c, p, _ in group_semantics_cases()]
+        for _ in range(40):
+            parent = random_one_ambient_instance(rng, policy, max_dim=3)
+            chosen = tuple(rng.sample(parent.components, rng.randint(1, len(parent.components))))
+            elems = sorted(union_elements(parent), key=lambda v: v.coords)
+            cases.append((MultiVectorSpace(chosen, policy), parent))
+            cases.append(({v for v in elems if rng.random() < 0.5}, parent))
+        cases = [(c, MultiVectorSpace(p.components, policy)) for c, p in cases]
+        expected = [brute_subspace_check(c, p) for c, p in cases]
+        assert True in expected and False in expected
+
+        def no_step(*args):
+            raise AssertionError("the criterion formed a chain step")
+
+        monkeypatch.setattr(core_module, "_add", no_step)
+        monkeypatch.setattr(core_module, "_scale", no_step)
+        assert [is_multi_subspace(c, p) for c, p in cases] == expected
 
 
 class TestIntersectMultispaces:

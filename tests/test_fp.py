@@ -12,6 +12,7 @@ from multispace import (
     FpScalar,
     SemanticError,
     Subspace,
+    TaggedVector,
     ZeroInverse,
     fp_inv,
     is_prime,
@@ -129,6 +130,37 @@ MALFORMED = {
     ("parse_instance", "non-residue"): (lambda: _parse_space(5, 2, "1,5"), SemanticError),
     ("parse_instance", "wrong length"): (lambda: _parse_space(5, 2, "1,0,1"), SemanticError),
     ("parse_instance", "non-prime"): (lambda: _parse_space(6, 2, "1,0"), SemanticError),
+    # entries must be ints: a float or a bool in range is still rejected
+    ("FpMatrix", "float"): (lambda: FpMatrix(3, 1, 2, (1.5, 0)), ValueError),
+    ("FpMatrix", "bool"): (lambda: FpMatrix(3, 1, 2, (True, 0)), ValueError),
+    ("from_rows", "float"): (lambda: FpMatrix.from_rows(3, [(1.0, 2)]), ValueError),
+    ("from_rows", "bool"): (lambda: FpMatrix.from_rows(3, [(1, False)]), ValueError),
+    ("Subspace", "float"): (
+        lambda: Subspace(AmbientId("A", 3, 2), FpMatrix(3, 1, 2, (1.0, 2))), ValueError
+    ),
+    ("Subspace", "bool"): (
+        lambda: Subspace(AmbientId("A", 3, 2), FpMatrix(3, 1, 2, (True, 2))), ValueError
+    ),
+    ("FpScalar", "float"): (lambda: FpScalar(1.0, 3), ValueError),
+    ("FpScalar", "bool"): (lambda: FpScalar(True, 3), ValueError),
+    ("solve_membership", "float"): (
+        lambda: solve_membership(FpMatrix(3, 1, 2, (1, 2)), (0.5, 1.0)), ValueError
+    ),
+    ("solve_membership", "bool"): (
+        lambda: solve_membership(FpMatrix(2, 1, 2, (1, 1)), (True, True)), ValueError
+    ),
+    ("Subspace.contains", "float"): (
+        lambda: Subspace(AmbientId("A", 3, 2), FpMatrix(3, 1, 2, (1, 2))).contains((0.5, 1.0)),
+        ValueError,
+    ),
+    ("TaggedVector", "non-residue"): (
+        lambda: TaggedVector(AmbientId("A", 3, 2), (1, 3)), ValueError
+    ),
+    ("TaggedVector", "wrong length"): (
+        lambda: TaggedVector(AmbientId("A", 3, 2), (1,)), ValueError
+    ),
+    ("TaggedVector", "float"): (lambda: TaggedVector(AmbientId("A", 3, 2), (1.0, 2)), ValueError),
+    ("TaggedVector", "bool"): (lambda: TaggedVector(AmbientId("A", 2, 2), (True, 0)), ValueError),
 }
 
 

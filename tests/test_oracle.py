@@ -25,6 +25,7 @@ from multispace import (
 )
 from multispace import core
 from conftest import (
+    group_semantics_cases,
     line_space,
     random_one_ambient_instance,
     random_subspace,
@@ -191,11 +192,30 @@ class TestBruteSubspaceCheck:
 
     def test_agrees_with_fast_path(self):
         rng = random.Random(109)
+        cases = [(c, p) for _, c, p, _ in group_semantics_cases()]
         for policy in (TOTAL, CLOSED):
             for _ in range(60):
                 parent = random_one_ambient_instance(rng, policy, max_dim=3)
                 elems = sorted(union_elements(parent), key=lambda v: v.coords)
-                candidate = {v for v in elems if rng.random() < 0.5}
-                assert brute_subspace_check(candidate, parent) == is_multi_subspace(
-                    candidate, parent
+                cases.append(({v for v in elems if rng.random() < 0.5}, parent))
+        # parents over two ambients; candidates that are instances with
+        # several components, vector sets with a foreign vector, or empty
+        for policy in (TOTAL, CLOSED):
+            for _ in range(60):
+                first = random_one_ambient_instance(rng, policy, max_dim=2)
+                second = random_one_ambient_instance(rng, policy, max_dim=2, label="B")
+                parent = MultiVectorSpace(first.components + second.components, policy)
+                elems = sorted(union_elements(parent), key=lambda v: (v.ambient.label, v.coords))
+                pool = parent.components + tuple(
+                    random_subspace(rng, c.ambient) for c in parent.components
                 )
+                cases.append((MultiVectorSpace(tuple(rng.sample(pool, 2)), policy), parent))
+                candidate = {v for v in elems if rng.random() < 0.7}
+                foreign = rng.choice([AmbientId("C", 2, 2), AmbientId("A", 7, 1)])
+                cases.append((candidate | {zero_vector(foreign)}, parent))
+                cases.append((set(), parent))
+        verdicts = []
+        for candidate, parent in cases:
+            verdicts.append(is_multi_subspace(candidate, parent))
+            assert brute_subspace_check(candidate, parent) == verdicts[-1]
+        assert True in verdicts and False in verdicts
