@@ -14,6 +14,10 @@ Combination chains evaluate strictly left to right and die at the first
 undefined step; a list of vectors is dependent exactly when some not-all-zero
 coefficient tuple yields a defined chain equal to the zero vector of its own
 ambient.
+
+Whether an operation exists under CLOSED depends only on which components hold
+the operands.  That is decided by each component's parity checks, read off its
+reduced basis (`_Membership`), so no component is enumerated to answer it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -34,16 +37,12 @@ from .errors import (
     TooManyComponents,
 )
 from .fp import FpScalar, _residues, _trusted
-from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace, span
+from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace, _parity_checks, span
 
 DEFAULT_SUBSET_CAP = 12
 
 # the CLOSED dependence search refuses lists that could take more steps
 _SEARCH_STEP_CAP = 2 * 10**6
-
-# components at most this large get a materialized element set for fast
-# membership; larger ones fall back to solving against the basis
-_INDEX_CAP = 4096
 
 
 class OperationPolicy(Enum):
@@ -133,53 +132,55 @@ def _add(x: TaggedVector, y: TaggedVector) -> TaggedVector:
 
 
 class _Membership:
-    """Fast component-membership tests for one instance.
+    """Which components of one instance hold a vector, by parity checks.
 
-    Small components are materialized as frozensets; each vector gets a
-    cached bitmask of the components (of its ambient) containing it.
+    Each component's checks are read off its reduced basis
+    (`subspace._parity_checks`) as (column, [(pivot, nonzero factor), ...]).
+    Bit i of a vector's mask is set when component i passes every check; the
+    checks run one at a time and stop at the first that fails.  Masks are
+    cached by coordinates within each ambient.
     """
 
     def __init__(self, space: MultiVectorSpace):
-        self._groups: dict[AmbientId, list[tuple[int, frozenset | Subspace]]] = {}
+        self._checks: dict[AmbientId, list[tuple[int, list]]] = {}
         for i, comp in enumerate(space.components):
-            if comp.ambient.p**comp.dim <= _INDEX_CAP:
-                tester: frozenset | Subspace = frozenset(comp.enumerate(cap=_INDEX_CAP))
-            else:
-                tester = comp
-            self._groups.setdefault(comp.ambient, []).append((i, tester))
-        self._masks: dict[TaggedVector, int] = {}
+            free, pivot_rows = _parity_checks(comp)
+            checks = [
+                (j, [(piv, row[t]) for piv, row in pivot_rows if row[t]])
+                for t, j in enumerate(free)
+            ]
+            self._checks.setdefault(comp.ambient, []).append((1 << i, checks))
+        self._masks: dict[AmbientId, dict[tuple[int, ...], int]] = {a: {} for a in self._checks}
 
-    def mask(self, v: TaggedVector) -> int:
-        cached = self._masks.get(v)
-        if cached is not None:
-            return cached
-        bits = 0
-        for i, tester in self._groups.get(v.ambient, ()):
-            if isinstance(tester, frozenset):
-                if v.coords in tester:
-                    bits |= 1 << i
-            elif tester.contains(v.coords):
-                bits |= 1 << i
-        self._masks[v] = bits
+    def mask_at(self, ambient: AmbientId, coords: tuple[int, ...]) -> int:
+        """The mask of the vector with these coordinates in `ambient`."""
+        cache = self._masks.get(ambient)
+        if cache is None:
+            return 0
+        bits = cache.get(coords)
+        if bits is None:
+            p = ambient.p
+            bits = 0
+            for bit, checks in self._checks[ambient]:
+                for j, terms in checks:
+                    x = coords[j]
+                    for piv, f in terms:
+                        x -= coords[piv] * f
+                    if x % p:
+                        break
+                else:
+                    bits |= bit
+            cache[coords] = bits
         return bits
 
-    def in_some(self, v: TaggedVector) -> bool:
-        return self.mask(v) != 0
-
-    def in_common(self, x: TaggedVector, y: TaggedVector) -> bool:
-        return (self.mask(x) & self.mask(y)) != 0
-
-
-# every reuse happens within one top-level call, so one instance is enough
-@lru_cache(maxsize=1)
-def _membership(space: MultiVectorSpace) -> _Membership:
-    return _Membership(space)
+    def mask(self, v: TaggedVector) -> int:
+        return self.mask_at(v.ambient, v.coords)
 
 
 def _scalar_defined(space: MultiVectorSpace, idx: _Membership, v: TaggedVector) -> bool:
     if space.policy is OperationPolicy.TOTAL:
         return True
-    return idx.in_some(v)
+    return idx.mask(v) != 0
 
 
 def _addition_defined(
@@ -189,13 +190,13 @@ def _addition_defined(
         return False
     if space.policy is OperationPolicy.TOTAL:
         return True
-    return idx.in_common(x, y)
+    return (idx.mask(x) & idx.mask(y)) != 0
 
 
 def union_contains(space: MultiVectorSpace, v: TaggedVector) -> bool:
-    """Whether some component with a matching ambient contains v, read off the
-    instance's membership index (`_membership`)."""
-    return _membership(space).in_some(v)
+    """Whether some component with a matching ambient contains v, by the
+    components' parity checks (`_Membership`)."""
+    return _Membership(space).mask(v) != 0
 
 
 def evaluate_chain(
@@ -205,7 +206,7 @@ def evaluate_chain(
     terms = list(terms)
     if not terms:
         raise EmptyChain("a chain needs at least one term")
-    idx = _membership(space)
+    idx = _Membership(space)
     acc: TaggedVector | None = None
     for term in terms:
         if not _scalar_defined(space, idx, term.vector):
@@ -298,11 +299,10 @@ class _ChainSearch:
         if steps > _SEARCH_STEP_CAP:
             raise SearchTooLarge(f"{steps} chain-state steps exceed the cap of {_SEARCH_STEP_CAP}")
         self._ambient = ambient
-        self._idx = _membership(space)
+        self._idx = _Membership(space)
         # c*v lies in the components holding v for c != 0, and 0*v in all of them
         self._masks = [self._idx.mask(v) for v in vectors]
         self._scaled = [[tuple((c * x) % p for x in v.coords) for c in range(p)] for v in vectors]
-        self._acc_masks: dict[tuple[int, ...], int] = {}
         self._failed: set[tuple[int, tuple[int, ...], bool]] = set()
 
     def first_witness(self, alive: Sequence[int]) -> tuple[int, ...] | None:
@@ -311,17 +311,14 @@ class _ChainSearch:
         masks, scaled, failed = self._masks, self._scaled, self._failed
         if not all(masks[k] for k in alive):
             return None
-        ambient, idx, acc_masks = self._ambient, self._idx, self._acc_masks
+        ambient, mask_at = self._ambient, self._idx.mask_at
         p, end = ambient.p, len(masks)
         following = dict(zip(alive, [*alive[1:], end]))
 
         def children(k: int, acc: tuple[int, ...], seen: bool):
             after = following[k]
             yield 0, (after, acc, seen)
-            bits = acc_masks.get(acc)
-            if bits is None:
-                bits = acc_masks[acc] = idx.mask(TaggedVector(ambient, acc))
-            if bits & masks[k]:
+            if mask_at(ambient, acc) & masks[k]:
                 row = scaled[k]
                 for c in range(1, p):
                     yield c, (after, tuple((a + b) % p for a, b in zip(acc, row[c])), True)
@@ -383,7 +380,7 @@ def linear_span(
     gens = list(generators)
     if not gens:
         return set()
-    idx = _membership(space)
+    idx = _Membership(space)
     terms: list[TaggedVector] = []
     seen_terms: set[TaggedVector] = set()
     for g in gens:
@@ -412,7 +409,7 @@ def linear_span(
         frontier = fresh
     if len(reachable) > enumeration_cap:
         raise EnumerationTooLarge(f"closure exceeds the enumeration cap of {enumeration_cap}")
-    return {v for v in reachable if idx.in_some(v)}
+    return {v for v in reachable if idx.mask(v)}
 
 
 def component_basis_vectors(space: MultiVectorSpace) -> list[TaggedVector]:
@@ -552,7 +549,7 @@ def is_multi_subspace(
             for comp in candidate.components
             for v in comp.enumerate(enumeration_cap)
         ]
-    idx = _membership(parent)
+    idx = _Membership(parent)
     total = parent.policy is OperationPolicy.TOTAL
     slices: dict[AmbientId | int, list[TaggedVector]] = {}
     for v in set(candidate):
@@ -586,9 +583,7 @@ def intersect_multispaces(
     return MultiVectorSpace(tuple(out), first.policy)
 
 
-def dim_inclusion_exclusion(
-    space: MultiVectorSpace, subset_cap: int = DEFAULT_SUBSET_CAP
-) -> int:
+def dim_inclusion_exclusion(space: MultiVectorSpace) -> int:
     """Alternating sum of intersection dimensions over all component subsets.
 
     A subset whose components span several ambients has empty intersection
@@ -596,12 +591,13 @@ def dim_inclusion_exclusion(
     of a subset is the meet of the subset without its highest component,
     intersected with that component, so each subset costs at most one
     intersection.  A zero meet and a mixed-ambient subset pass on to every
-    superset without one.
+    superset without one.  More than DEFAULT_SUBSET_CAP (12) components raise
+    TooManyComponents.
     """
     components = space.components
     k = len(components)
-    if k > subset_cap:
-        raise TooManyComponents(f"{k} components exceed the subset cap of {subset_cap}")
+    if k > DEFAULT_SUBSET_CAP:
+        raise TooManyComponents(f"{k} components exceed the subset cap of {DEFAULT_SUBSET_CAP}")
     # meets[mask] is the meet of the components in mask, None across ambients
     meets: list[Subspace | None] = [None] * (1 << k)
     total = 0

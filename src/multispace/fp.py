@@ -5,8 +5,9 @@ Everything here is deterministic: elimination always picks the topmost
 nonzero pivot candidate, so reduced forms are canonical and comparable.
 
 Entries are checked once, at the public boundary: `FpMatrix(...)` and
-`FpMatrix.from_rows` check the prime, the shape and every entry, which must
-be an int (a bool is not) in [0, p).  `FpScalar`, `solve_membership` and
+`FpMatrix.from_rows` check the prime, the shape (row and column counts are
+ints, not bools) and every entry, which must be an int (a bool is not) in
+[0, p).  `FpScalar`, `solve_membership`, `subspace.Subspace.contains` and
 `core.TaggedVector` hold their entries to the same test, `_residues`.  Matrices
 whose entries are residues by construction (the `rref` result, and the bases
 that `subspace` builds from reduced rows) are built through `_trusted`, which
@@ -81,8 +82,9 @@ class FpMatrix:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
+        for size in (self.rows, self.cols):
+            if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+                raise ValueError(f"matrix dimensions must be ints >= 0, got {size!r}")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "

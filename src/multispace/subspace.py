@@ -2,10 +2,11 @@
 
 A subspace is stored as its reduced-echelon basis, so equality of subspaces
 is plain equality of matrices.  The sum is the span of both bases stacked.
-The intersection reads the parity checks of one operand straight off its
-reduced basis (one check per non-pivot column) and reduces the rows m of the
-other's basis as [checks(m) | m]: the reduced rows whose check block is zero
-carry the meet in their right block.
+A subspace's parity checks are read straight off its reduced basis, one check
+per non-pivot column (`_parity_checks`).  Membership tests a vector against
+them, and the intersection reduces the rows m of one basis as
+[checks(m) | m], with the checks of the other: the reduced rows whose check
+block is zero carry the meet in their right block.
 
 The canonical form is checked once, at the public boundary: `Subspace(...)`
 re-reduces the basis it is given.  The producers here (`span`, sum and
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import AmbientMismatch, DimensionMismatch, EnumerationTooLarge
-from .fp import FpMatrix, _trusted, check_prime, rref, solve_membership
+from .fp import FpMatrix, _residues, _trusted, check_prime, rref
 
 DEFAULT_ENUMERATION_CAP = 729
 
@@ -35,9 +36,11 @@ class AmbientId:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"ambient label must be a str, got {self.label!r}")
         check_prime(self.p)
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"ambient dimension must be >= 0, got {self.n!r}")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
+            raise ValueError(f"ambient dimension must be an int >= 0, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,19 @@ class Subspace:
         return self.basis.row_list()
 
     def contains(self, v) -> bool:
-        """Membership of a coordinate vector in the row space."""
-        return solve_membership(self.basis, v) is not None
+        """Membership of a coordinate vector in the row space: whether it
+        passes every parity check."""
+        v = tuple(v)
+        n, p = self.ambient.n, self.ambient.p
+        if len(v) != n:
+            raise DimensionMismatch(f"vector length {len(v)} != {n} columns")
+        if not _residues(v, p):
+            raise ValueError(f"vector entries must be int residues in [0, {p})")
+        free, pivot_rows = _parity_checks(self)
+        return all(
+            (v[j] - sum(v[piv] * row[t] for piv, row in pivot_rows)) % p == 0
+            for t, j in enumerate(free)
+        )
 
     def sum(self, other: Subspace) -> Subspace:
         _check_same_ambient(self, other)
@@ -87,15 +101,9 @@ class Subspace:
         _check_same_ambient(self, other)
         ambient = self.ambient
         n, p = ambient.n, ambient.p
-        basis = other.rows()
-        # a reduced row's leading entry is its first 1, and its pivot column
-        # is zero in every other row, so for each non-pivot column j
-        # x -> x[j] - sum_i basis[i][j] * x[pivot_i] vanishes exactly on `other`.
-        # The syndrome of x (all checks at once) is x - sum_i x[pivot_i] * basis[i]
-        # on the non-pivot columns.
-        pivots = [row.index(1) for row in basis]
-        free = [j for j in range(n) if j not in pivots]
-        pivot_rows = [(piv, [row[j] for j in free]) for piv, row in zip(pivots, basis)]
+        # the syndrome of m (all checks at once) is m - sum_i m[pivot_i] * basis[i]
+        # on the non-pivot columns
+        free, pivot_rows = _parity_checks(other)
         k = len(free)
         width = k + n
         stacked: list[int] = []
@@ -134,6 +142,20 @@ class Subspace:
                     acc = [(a + c * x) % p for a, x in zip(acc, row)]
             out.append(tuple(acc))
         return out
+
+
+def _parity_checks(space: Subspace) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """The non-pivot columns of the reduced basis and, for each basis row, its
+    pivot and its entries in those columns.
+
+    A reduced row's leading entry is its first 1, and its pivot column is zero
+    in every other row, so for each non-pivot column j the check
+    x -> x[j] - sum_i basis[i][j] * x[pivot_i] vanishes exactly on `space`.
+    """
+    basis = space.rows()
+    pivots = [row.index(1) for row in basis]
+    free = [j for j in range(space.ambient.n) if j not in pivots]
+    return free, [(piv, [row[j] for j in free]) for piv, row in zip(pivots, basis)]
 
 
 def span(ambient: AmbientId, generators: FpMatrix) -> Subspace:

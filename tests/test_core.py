@@ -15,6 +15,7 @@ from multispace import (
     OperationPolicy,
     PolicyMismatch,
     SearchTooLarge,
+    Subspace,
     TaggedVector,
     TooManyComponents,
     additive_formula_check,
@@ -31,6 +32,7 @@ from multispace import (
     is_multi_subspace,
     linear_span,
     linearly_dependent,
+    solve_membership,
     span,
     union_contains,
     validate_axioms,
@@ -104,6 +106,77 @@ class TestUnionContains:
             for coords in product(range(ambient.p), repeat=ambient.n):
                 v = TaggedVector(ambient, coords)
                 assert union_contains(m, v) == (v in members)
+        # CLOSED and two-ambient instances, every vector of both ambients
+        for _ in range(40):
+            ambients = [AmbientId(label, rng.choice([2, 3]), rng.randint(1, 3)) for label in "AB"]
+            comps = tuple(random_subspace(rng, rng.choice(ambients)) for _ in range(rng.randint(1, 4)))
+            m = MultiVectorSpace(comps, rng.choice([TOTAL, CLOSED]))
+            members = union_elements(m)
+            for ambient in ambients:
+                for coords in product(range(ambient.p), repeat=ambient.n):
+                    v = TaggedVector(ambient, coords)
+                    assert union_contains(m, v) == (v in members)
+        # components of more than 4,096 vectors (planes of GF(101)^3), on
+        # sampled members and random vectors, against solving for coefficients
+        ambient = AmbientId("A", 101, 3)
+        answers = set()
+        for _ in range(20):
+            comps = tuple(random_subspace(rng, ambient, max_gens=2) for _ in range(rng.randint(1, 3)))
+            m = MultiVectorSpace(comps, rng.choice([TOTAL, CLOSED]))
+            samples = [tuple(rng.randrange(101) for _ in range(3)) for _ in range(10)]
+            for comp in comps:
+                for _ in range(5):
+                    acc = [0, 0, 0]
+                    for row in comp.rows():
+                        c = rng.randrange(101)
+                        acc = [(a + c * x) % 101 for a, x in zip(acc, row)]
+                    samples.append(tuple(acc))
+            for coords in samples:
+                expected = any(solve_membership(c.basis, coords) is not None for c in comps)
+                assert union_contains(m, TaggedVector(ambient, coords)) is expected
+                answers.add(expected)
+        assert answers == {True, False}
+
+
+class TestMembershipByParityChecks:
+    def test_answers_without_enumerating_components(self, monkeypatch):
+        rng = random.Random(61)
+        cases = []
+        for _ in range(40):
+            m = random_one_ambient_instance(rng, CLOSED, max_dim=3)
+            ambient = m.components[0].ambient
+            pool = sorted(union_elements(m), key=lambda v: v.coords)
+            pool.append(tv(ambient, *(rng.randrange(ambient.p) for _ in range(ambient.n))))
+            vectors = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+            cases.append((m, vectors))
+            cases.append((MultiVectorSpace(m.components, TOTAL), vectors))
+        # two ambients
+        a, b = AmbientId("A", 3, 2), AmbientId("B", 2, 3)
+        m = MultiVectorSpace((line_space(a, (1, 2)), full_subspace(b), line_space(a, (0, 1))), CLOSED)
+        cases.append((m, [tv(a, 2, 1), tv(b, 1, 0, 1), tv(a, 0, 2), tv(a, 2, 0)]))
+
+        def answers():
+            out = []
+            for m, vectors in cases:
+                closed = m.policy is CLOSED
+                out.append((
+                    linearly_dependent(m, vectors) if closed else None,
+                    greedy_basis(m) if closed else None,
+                    [union_contains(m, v) for v in vectors],
+                    evaluate_chain(m, [term(i % v.ambient.p, v) for i, v in enumerate(vectors, 1)]),
+                    linear_span(m, vectors[:2]),
+                    is_multi_subspace(set(vectors), m),
+                ))
+            return out
+
+        expected = answers()
+        assert {verdict for *_, verdict in expected} == {True, False}
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("a component was enumerated")
+
+        monkeypatch.setattr(Subspace, "enumerate", no_enumeration)
+        assert answers() == expected
 
 
 class TestEvaluateChain:

@@ -161,6 +161,14 @@ MALFORMED = {
     ),
     ("TaggedVector", "float"): (lambda: TaggedVector(AmbientId("A", 3, 2), (1.0, 2)), ValueError),
     ("TaggedVector", "bool"): (lambda: TaggedVector(AmbientId("A", 2, 2), (True, 0)), ValueError),
+    # shape fields must be ints too, and an ambient label a str
+    ("AmbientId", "bool dimension"): (lambda: AmbientId("A", 2, True), ValueError),
+    ("AmbientId", "float dimension"): (lambda: AmbientId("A", 2, 2.0), ValueError),
+    ("AmbientId", "non-str label"): (lambda: AmbientId(7, 2, 2), ValueError),
+    ("FpMatrix", "float rows"): (lambda: FpMatrix(2, 1.0, 2, (1, 0)), ValueError),
+    ("FpMatrix", "bool rows"): (lambda: FpMatrix(2, True, 2, (1, 0)), ValueError),
+    ("FpMatrix", "float cols"): (lambda: FpMatrix(2, 1, 2.0, (1, 0)), ValueError),
+    ("FpMatrix", "bool cols"): (lambda: FpMatrix(2, 2, True, (1, 0)), ValueError),
 }
 
 
