@@ -25,7 +25,7 @@ from .core import (
     validate_axioms,
 )
 from .errors import CapExceeded, MultispaceError
-from .instancefile import format_instance, parse_instance
+from .instancefile import _INT_RE, format_instance, parse_instance
 from .search import GeneratorConfig, find_formula_discrepancies
 
 
@@ -114,14 +114,14 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _count(least: int):
-    """An argparse type for integers of at least `least`."""
+def _integer(least: int | None = None):
+    """An argparse type for integers written as the instance grammar writes
+    them (ASCII digits, an optional leading '-'), of at least `least` if set."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < least:
+        if not _INT_RE.match(text):
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        value = int(text)
+        if least is not None and value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         return value
     return parse
@@ -135,7 +135,7 @@ def _build_parser() -> _Parser:
     # only the enumerating commands take a cap; the dependence search has
     # its own fixed step cap
     capped = argparse.ArgumentParser(add_help=False, parents=[shared])
-    capped.add_argument("--cap", type=_count(1), default=729, help="enumeration cap")
+    capped.add_argument("--cap", type=_integer(1), default=729, help="enumeration cap")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -166,8 +166,8 @@ def _build_parser() -> _Parser:
 
     cmd = sub.add_parser("search", parents=[shared],
                          help="randomized formula discrepancy search")
-    cmd.add_argument("--trials", type=_count(0), default=100)
-    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--trials", type=_integer(0), default=100)
+    cmd.add_argument("--seed", type=_integer(), default=0)
     cmd.set_defaults(func=_cmd_search)
 
     return parser

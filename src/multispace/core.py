@@ -26,7 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -221,57 +221,49 @@ def evaluate_chain(
     return acc
 
 
-class _Eliminator:
-    """Forward elimination over one ambient, one vector at a time.
+class _RankSearch:
+    """Forward elimination over one ambient, resumable across removals.
 
     Each kept row is reduced against the rows kept before it and scaled to a
-    leading 1, together with its combination of the pushed vectors.  Pushes
-    stop at the first dependent vector, so the i-th kept row belongs to push
-    i and depends only on pushes 0..i; dropping the rows from position k on
-    leaves the state the first k pushes would have left.
+    leading 1, together with its combination of the vectors pushed so far,
+    and is tagged with the list index of its vector.  Pushes stop at the
+    first vector that reduces to zero, so the kept rows depend only on the
+    list indices behind them: a call keeps the rows of the longest common
+    prefix of those indices and `alive`, and pushes on from there.
     """
 
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[tuple[int, list[int], list[int]]] = []
+    def __init__(self, vectors: list[TaggedVector]):
+        self._vectors = vectors
+        self._p = vectors[0].ambient.p
+        self._rows: list[tuple[int, list[int], list[int]]] = []
+        self._kept: list[int] = []
 
-    def push(self, coords: Sequence[int]) -> list[int] | None:
-        """Reduce the next vector against the kept rows.  If it reduces to
-        zero, return its combination of pushes 0..k (coefficient 1 on itself,
-        push k) and keep nothing; otherwise keep the reduced row."""
-        p = self.p
-        row = list(coords)
-        combo = [0] * len(self.rows) + [1]
-        for pivot, prow, pcombo in self.rows:
-            f = row[pivot]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, prow)]
-                combo[: len(pcombo)] = [(x - f * y) % p for x, y in zip(combo, pcombo)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            return combo
-        inv = pow(row[lead], -1, p)
-        self.rows.append((lead, [(x * inv) % p for x in row], [(x * inv) % p for x in combo]))
+    def first_witness(self, alive: Sequence[int]) -> tuple[int, ...] | None:
+        """The combination of the first vector at the list indices `alive`
+        (increasing) that reduces to zero against the ones before it, with
+        coefficient 1 on that vector and 0 after it, or None."""
+        rows, kept, vectors, p = self._rows, self._kept, self._vectors, self._p
+        k = 0
+        for i, j in zip(kept, alive):
+            if i != j:
+                break
+            k += 1
+        del rows[k:], kept[k:]
+        for i in alive[k:]:
+            row = list(vectors[i].coords)
+            combo = [0] * len(rows) + [1]
+            for pivot, prow, pcombo in rows:
+                f = row[pivot]
+                if f:
+                    row = [(x - f * y) % p for x, y in zip(row, prow)]
+                    combo[: len(pcombo)] = [(x - f * y) % p for x, y in zip(combo, pcombo)]
+            lead = next((t for t, x in enumerate(row) if x), None)
+            if lead is None:
+                return tuple(combo) + (0,) * (len(alive) - len(combo))
+            inv = pow(row[lead], -1, p)
+            rows.append((lead, [(x * inv) % p for x in row], [(x * inv) % p for x in combo]))
+            kept.append(i)
         return None
-
-    def truncate(self, k: int) -> None:
-        del self.rows[k:]
-
-
-def _rank_dependence(
-    vectors: list[TaggedVector],
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Dependence over one ambient when every combination is defined.
-
-    Elimination with combination tracking: the first vector reducing to zero
-    against its predecessors yields a witness with coefficient 1 on itself.
-    """
-    elim = _Eliminator(vectors[0].ambient.p)
-    for v in vectors:
-        combo = elim.push(v.coords)
-        if combo is not None:
-            return True, tuple(combo) + (0,) * (len(vectors) - len(combo))
-    return False, None
 
 
 class _ChainSearch:
@@ -342,26 +334,38 @@ class _ChainSearch:
         return None
 
 
+def _search(
+    space: MultiVectorSpace, vectors: list[TaggedVector]
+) -> _RankSearch | _ChainSearch | None:
+    """The dependence search over a list, or None when the list is
+    independent outright: empty, or over several ambients, where every
+    full-length chain hits an undefined cross-ambient addition.  Under TOTAL
+    policy every combination within one ambient is defined, so dependence is
+    a rank test (`_RankSearch`); under CLOSED it is a chain-state search
+    (`_ChainSearch`)."""
+    if not vectors or len({v.ambient for v in vectors}) > 1:
+        return None
+    if space.policy is OperationPolicy.TOTAL:
+        return _RankSearch(vectors)
+    return _ChainSearch(space, vectors)
+
+
 def linearly_dependent(
     space: MultiVectorSpace, vectors: Sequence[TaggedVector]
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether some not-all-zero coefficient tuple gives a defined zero chain.
 
-    A list spanning several ambients is independent outright under either
-    policy, because every full-length chain hits an undefined cross-ambient
-    addition.  Under TOTAL policy a single-ambient list reduces to a rank
-    test.  Under CLOSED one chain-state search (`_ChainSearch`) runs over
-    positions 0..m-1, and the witness is the lexicographically first tuple
-    over the given vector order.  It raises SearchTooLarge when its step
-    bound p * sum_{i<m} min(p^i, S) exceeds 2*10^6, for m vectors over GF(p)
-    whose ambient's components hold S = sum p^dim.
+    Both policies go through `_search`.  A list spanning several ambients is
+    independent outright.  Under TOTAL policy the witness is the combination
+    of the first vector that reduces to zero against the ones before it, with
+    coefficient 1 on that vector.  Under CLOSED it is the lexicographically
+    first tuple over the given vector order; the search raises SearchTooLarge
+    when its step bound p * sum_{i<m} min(p^i, S) exceeds 2*10^6, for m
+    vectors over GF(p) whose ambient's components hold S = sum p^dim.
     """
     vectors = list(vectors)
-    if not vectors or len({v.ambient for v in vectors}) > 1:
-        return False, None
-    if space.policy is OperationPolicy.TOTAL:
-        return _rank_dependence(vectors)
-    witness = _ChainSearch(space, vectors).first_witness(range(len(vectors)))
+    search = _search(space, vectors)
+    witness = None if search is None else search.first_witness(range(len(vectors)))
     return witness is not None, witness
 
 
@@ -439,62 +443,29 @@ def greedy_basis(
     over the survivors reaches.
 
     A stacked list over several ambients is independent under either policy
-    and is returned as it is.  With one ambient the dependence test resumes
-    after each removal instead of restarting, and finds the witness a restart
-    would find: under TOTAL the elimination goes on from the victim's
-    position (see `_resumed_greedy`), and under CLOSED one `_ChainSearch`
-    keeps its failed chain states for every removal.  Its step bound is
+    and is returned as it is.  With one ambient, one search from `_search`
+    serves every removal and finds the witness a restart would find: the
+    `_RankSearch` keeps the rows of the vectors before the victim, and the
+    `_ChainSearch` keeps its failed chain states.  The CLOSED step bound is
     checked once, on the stacked list, and raises SearchTooLarge as
     `linearly_dependent` does on that list.
     """
     delta = component_basis_vectors(space)
     if removal_order is None:
-        def victim_of(participants: list[int]) -> int:
-            return min(participants, key=lambda pos: (_vector_key(delta[pos]), pos))
+        def victim_key(pos: int) -> tuple:
+            return (_vector_key(delta[pos]), pos)
     else:
         if sorted(removal_order) != list(range(len(delta))):
             raise ValueError(
                 f"removal_order must be a permutation of range({len(delta)})"
             )
-        priority = {pos: rank for rank, pos in enumerate(removal_order)}
-
-        def victim_of(participants: list[int]) -> int:
-            return min(participants, key=priority.__getitem__)
-
-    if len({v.ambient for v in delta}) != 1:
-        return delta
-    if space.policy is OperationPolicy.TOTAL:
-        alive = _resumed_greedy(delta, victim_of)
-    else:
-        search = _ChainSearch(space, delta)
-        alive = list(range(len(delta)))
-        while (witness := search.first_witness(alive)) is not None:
-            alive.remove(victim_of([k for k, c in zip(alive, witness) if c]))
-    return [delta[i] for i in alive]
-
-
-def _resumed_greedy(
-    delta: list[TaggedVector], victim_of: Callable[[list[int]], int]
-) -> list[int]:
-    """The greedy loop on the rank path without restarting its elimination.
-
-    The rank witness belongs to the first vector that reduces to zero against
-    the alive vectors before it.  Removing the victim at alive position k
-    leaves positions 0..k-1 and their kept rows as they were, so elimination
-    goes on from position k and finds the witness a restart would find.
-    """
-    elim = _Eliminator(delta[0].ambient.p)
+        victim_key = {pos: rank for rank, pos in enumerate(removal_order)}.__getitem__
     alive = list(range(len(delta)))
-    k = 0
-    while k < len(alive):
-        combo = elim.push(delta[alive[k]].coords)
-        if combo is None:
-            k += 1
-            continue
-        k = alive.index(victim_of([alive[i] for i, c in enumerate(combo) if c]))
-        del alive[k]
-        elim.truncate(k)
-    return alive
+    search = _search(space, delta)
+    if search is not None:
+        while (witness := search.first_witness(alive)) is not None:
+            alive.remove(min((k for k, c in zip(alive, witness) if c), key=victim_key))
+    return [delta[i] for i in alive]
 
 
 def dim_greedy(space: MultiVectorSpace) -> int:

@@ -22,9 +22,8 @@ import re
 from .core import MultiVectorSpace, OperationPolicy
 from .errors import ParseError, SemanticError
 from .fp import MAX_PRIME, FpMatrix, is_prime
-from .subspace import AmbientId, Subspace, span
+from .subspace import _LABEL_RE, AmbientId, Subspace, span
 
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # ASCII digits only: int() would also take '+1', '1_0' and non-ASCII digits
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 

@@ -17,6 +17,7 @@ through `fp._trusted`, which skips the entry check.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
@@ -26,18 +27,27 @@ from .fp import FpMatrix, _residues, _trusted, check_prime, rref
 
 DEFAULT_ENUMERATION_CAP = 729
 
+_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
 
 @dataclass(frozen=True)
 class AmbientId:
-    """Identifies one concrete carrier GF(p)^n; distinct ids never overlap."""
+    """Identifies one concrete carrier GF(p)^n; distinct ids never overlap.
+
+    The label is an instance-file label, `[A-Za-z_][A-Za-z0-9_]*`, so every
+    ambient can be written to a file and read back.
+    """
 
     label: str
     p: int
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.label, str):
-            raise ValueError(f"ambient label must be a str, got {self.label!r}")
+        if not isinstance(self.label, str) or not _LABEL_RE.match(self.label):
+            raise ValueError(
+                "ambient label must be ASCII letters, digits and '_', not starting "
+                f"with a digit, got {self.label!r}"
+            )
         check_prime(self.p)
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
             raise ValueError(f"ambient dimension must be an int >= 0, got {self.n!r}")

@@ -402,6 +402,17 @@ class TestParseInstance:
     def test_canonical_text_round_trips(self, text):
         assert format_instance(parse_instance(text)) == text
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_every_ambient_label_round_trips(self, label):
+        # the other direction: whatever label an ambient takes, its file reads back
+        try:
+            ambient = AmbientId(label, 2, 1)
+        except ValueError:
+            return
+        instance = MultiVectorSpace((full_subspace(ambient),), OperationPolicy.TOTAL)
+        assert parse_instance(format_instance(instance)) == instance
+
 
 @pytest.fixture
 def three_lines_file(tmp_path):
@@ -625,6 +636,14 @@ class TestExitCodes:
         ["check-subspace", "--cap", "0", "{file}", "--candidate", "{file}"],
         ["search", "--trials", "-3"],
         ["search", "--trials", "1.5"],
+        # integers as the instance grammar writes them: ASCII digits, optional '-'
+        ["search", "--trials", "1_0"],
+        ["search", "--trials", "+2"],
+        ["search", "--trials", " 2"],
+        ["search", "--trials", "2", "--seed", "\u0663"],
+        ["search", "--trials", "2", "--seed", "1_0"],
+        ["validate", "--cap", "\u0663", "{file}"],
+        ["validate", "--cap", "+5", "{file}"],
     ])
     def test_bad_flags_are_usage_errors(self, minimal_file, capsys, argv):
         assert main([arg.format(file=minimal_file) for arg in argv]) == 1

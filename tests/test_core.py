@@ -228,6 +228,37 @@ class TestLinearlyDependent:
         dep, witness = linearly_dependent(m, [tv(GF2, 1, 0), tv(GF2, 1, 0)])
         assert dep
         assert witness == (1, 1)
+        # the rank witness puts 1 on the vector that reduces to zero
+        m = MultiVectorSpace((full_subspace(GF3),), TOTAL)
+        assert linearly_dependent(m, [tv(GF3, 1, 0), tv(GF3, 1, 0)]) == (True, (2, 1))
+
+    def test_total_witness_is_the_first_witness_of_the_shortest_dependent_prefix(self):
+        # the shortest dependent prefix minus its last vector is independent,
+        # so that prefix's witnesses are the multiples of one tuple whose last
+        # coefficient is nonzero, and the TOTAL witness is the one with last
+        # coefficient 1, padded with zeros
+        rng = random.Random(83)
+        dependent = 0
+        for _ in range(150):
+            p = rng.choice([2, 3, 5])
+            m = random_one_ambient_instance(rng, TOTAL, primes=(p,))
+            ambient = m.components[0].ambient
+            pool = [zero_vector(ambient)] + [
+                TaggedVector(ambient, tuple(rng.randrange(p) for _ in range(ambient.n)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            vectors = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            expected = (False, None)
+            for j in range(1, len(vectors) + 1):
+                dep, first = brute_dependent(m, vectors[:j])
+                if dep:
+                    inv = pow(first[-1], -1, p)
+                    scaled = tuple(c * inv % p for c in first)
+                    expected = (True, scaled + (0,) * (len(vectors) - j))
+                    dependent += 1
+                    break
+            assert linearly_dependent(m, vectors) == expected
+        assert 30 <= dependent <= 140
 
     def test_witness_chain_really_vanishes(self):
         rng = random.Random(31)
@@ -413,26 +444,30 @@ class TestGreedyBasis:
     def test_one_chain_search_per_basis(self, monkeypatch):
         searches = []
 
-        class CountingSearch(core_module._ChainSearch):
-            def __init__(self, space, vectors):
-                searches.append(len(vectors))
-                super().__init__(space, vectors)
+        def counting(search_class):
+            class CountingSearch(search_class):
+                def __init__(self, *args):
+                    searches.append(len(args[-1]))
+                    super().__init__(*args)
+            return CountingSearch
 
         def restart(space, vectors):
             raise AssertionError("greedy_basis restarted its dependence test")
 
-        monkeypatch.setattr(core_module, "_ChainSearch", CountingSearch)
+        for name in ("_ChainSearch", "_RankSearch"):
+            monkeypatch.setattr(core_module, name, counting(getattr(core_module, name)))
         monkeypatch.setattr(core_module, "linearly_dependent", restart)
         rng = random.Random(61)
-        several_removals = 0
-        for _ in range(40):
-            m = random_one_ambient_instance(rng, CLOSED, max_dim=3, max_components=4)
-            stacked = component_basis_vectors(m)
-            searches.clear()
-            basis = greedy_basis(m)
-            assert searches == [len(stacked)]
-            several_removals += len(stacked) - len(basis) >= 2
-        assert several_removals >= 5
+        for policy in (CLOSED, TOTAL):
+            several_removals = 0
+            for _ in range(40):
+                m = random_one_ambient_instance(rng, policy, max_dim=3, max_components=4)
+                stacked = component_basis_vectors(m)
+                searches.clear()
+                basis = greedy_basis(m)
+                assert searches == [len(stacked)]
+                several_removals += len(stacked) - len(basis) >= 2
+            assert several_removals >= 5
         # the step bound is checked once, on the stacked list: 9 basis rows
         # of GF(5)^9 take 2,441,405 steps, over the cap
         big = MultiVectorSpace((full_subspace(AmbientId("B", 5, 9)),), CLOSED)

@@ -165,6 +165,13 @@ MALFORMED = {
     ("AmbientId", "bool dimension"): (lambda: AmbientId("A", 2, True), ValueError),
     ("AmbientId", "float dimension"): (lambda: AmbientId("A", 2, 2.0), ValueError),
     ("AmbientId", "non-str label"): (lambda: AmbientId(7, 2, 2), ValueError),
+    # a label is one the instance grammar reads back: [A-Za-z_][A-Za-z0-9_]*
+    ("AmbientId", "label with a space"): (lambda: AmbientId("A B", 2, 2), ValueError),
+    ("AmbientId", "empty label"): (lambda: AmbientId("", 2, 2), ValueError),
+    ("AmbientId", "label with '#'"): (lambda: AmbientId("A#b", 2, 2), ValueError),
+    ("AmbientId", "label with '='"): (lambda: AmbientId("p=2", 2, 2), ValueError),
+    ("AmbientId", "label starting with a digit"): (lambda: AmbientId("1A", 2, 2), ValueError),
+    ("AmbientId", "non-ASCII label"): (lambda: AmbientId("\u00c4", 2, 2), ValueError),
     ("FpMatrix", "float rows"): (lambda: FpMatrix(2, 1.0, 2, (1, 0)), ValueError),
     ("FpMatrix", "bool rows"): (lambda: FpMatrix(2, True, 2, (1, 0)), ValueError),
     ("FpMatrix", "float cols"): (lambda: FpMatrix(2, 1, 2.0, (1, 0)), ValueError),

@@ -2,7 +2,9 @@
 
 The library runs on the standard library alone, and `oracle` is ground truth
 for the fast paths only while it shares no elimination, membership index or
-chain evaluator with them.  Both aims are read off the import statements.
+chain evaluator with them.  The references in `tests/conftest.py` are held
+apart the same way: they take only public names from the package.  All three
+aims are read off the import statements.
 """
 
 import ast
@@ -10,6 +12,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "multispace"
+CONFTEST = Path(__file__).resolve().parent / "conftest.py"
 
 # the package names `oracle` may take, per module; None takes any name, as
 # the exception classes in `errors` carry no computation
@@ -64,4 +67,16 @@ def test_oracle_takes_only_data_types_from_the_package():
         for module, name in taken
         if module not in ORACLE_MAY_TAKE
         or ORACLE_MAY_TAKE[module] is not None and name not in ORACLE_MAY_TAKE[module]
+    ] == []
+
+
+def test_conftest_takes_no_private_names_from_the_package():
+    # the private names are the fast paths (`_RankSearch`, `_ChainSearch`,
+    # `_Membership`, ...) that the references in conftest are compared with
+    taken = [(module, name) for module, name in imports(CONFTEST) if module.startswith(".")]
+    assert (".", "rref") in taken
+    assert [
+        (module, name)
+        for module, name in taken
+        if name.startswith("_") or any(part.startswith("_") for part in module.split("."))
     ] == []
