@@ -15,9 +15,10 @@ undefined step; a list of vectors is dependent exactly when some not-all-zero
 coefficient tuple yields a defined chain equal to the zero vector of its own
 ambient.
 
-Whether an operation exists under CLOSED depends only on which components hold
-the operands.  That is decided by each component's parity checks, read off its
-reduced basis (`_Membership`), so no component is enumerated to answer it.
+Both policies state one rule: alpha*a + b exists exactly when a and b share an
+operation group, their ambient under TOTAL and a component under CLOSED.
+`_Membership` says which groups hold a vector, by the components' parity
+checks read off their reduced bases, so no component is enumerated for it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     SearchTooLarge,
     TooManyComponents,
 )
-from .fp import FpScalar, _residues, _trusted
+from .fp import FpScalar, _check_int, _residues, _trusted
 from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace, _parity_checks, span
 
 DEFAULT_SUBSET_CAP = 12
@@ -58,6 +59,8 @@ class TaggedVector:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.coords) is not tuple:
+            raise ValueError(f"coords must be a tuple, got {type(self.coords).__name__}")
         if len(self.coords) != self.ambient.n:
             raise ValueError(
                 f"vector of length {len(self.coords)} in ambient of dimension {self.ambient.n}"
@@ -95,6 +98,10 @@ class MultiVectorSpace:
     def __post_init__(self) -> None:
         if not isinstance(self.policy, OperationPolicy):
             raise ValueError(f"policy must be an OperationPolicy, got {self.policy!r}")
+        if type(self.components) is not tuple or not all(
+            isinstance(c, Subspace) for c in self.components
+        ):
+            raise ValueError("components must be a tuple of Subspace")
         by_label: dict[str, AmbientId] = {}
         for comp in self.components:
             seen = by_label.setdefault(comp.ambient.label, comp.ambient)
@@ -132,16 +139,24 @@ def _add(x: TaggedVector, y: TaggedVector) -> TaggedVector:
 
 
 class _Membership:
-    """Which components of one instance hold a vector, by parity checks.
+    """Which components and operation groups of one instance hold a vector.
 
     Each component's checks are read off its reduced basis
     (`subspace._parity_checks`) as (column, [(pivot, nonzero factor), ...]).
     Bit i of a vector's mask is set when component i passes every check; the
     checks run one at a time and stop at the first that fails.  Masks are
     cached by coordinates within each ambient.
+
+    `groups` is the bitmask of the operation groups holding a vector: its mask
+    under CLOSED, where the groups are the components, and under TOTAL one bit
+    per ambient, given when the ambient is first seen, so that an ambient with
+    no component is a group too.  A scalar multiple of v exists when
+    groups(v) is nonzero, and a + b exists when groups(a) & groups(b) is.
     """
 
     def __init__(self, space: MultiVectorSpace):
+        self._total = space.policy is OperationPolicy.TOTAL
+        self._ambient_bits: dict[AmbientId, int] = {}
         self._checks: dict[AmbientId, list[tuple[int, list]]] = {}
         for i, comp in enumerate(space.components):
             free, pivot_rows = _parity_checks(comp)
@@ -176,21 +191,11 @@ class _Membership:
     def mask(self, v: TaggedVector) -> int:
         return self.mask_at(v.ambient, v.coords)
 
-
-def _scalar_defined(space: MultiVectorSpace, idx: _Membership, v: TaggedVector) -> bool:
-    if space.policy is OperationPolicy.TOTAL:
-        return True
-    return idx.mask(v) != 0
-
-
-def _addition_defined(
-    space: MultiVectorSpace, idx: _Membership, x: TaggedVector, y: TaggedVector
-) -> bool:
-    if x.ambient != y.ambient:
-        return False
-    if space.policy is OperationPolicy.TOTAL:
-        return True
-    return (idx.mask(x) & idx.mask(y)) != 0
+    def groups(self, v: TaggedVector) -> int:
+        """The bitmask of the operation groups holding v."""
+        if self._total:
+            return self._ambient_bits.setdefault(v.ambient, 1 << len(self._ambient_bits))
+        return self.mask_at(v.ambient, v.coords)
 
 
 def union_contains(space: MultiVectorSpace, v: TaggedVector) -> bool:
@@ -209,15 +214,14 @@ def evaluate_chain(
     idx = _Membership(space)
     acc: TaggedVector | None = None
     for term in terms:
-        if not _scalar_defined(space, idx, term.vector):
+        if not idx.groups(term.vector):
             return None
         value = _scale(term.scalar.value, term.vector)
-        if acc is None:
-            acc = value
-            continue
-        if not _addition_defined(space, idx, acc, value):
-            return None
-        acc = _add(acc, value)
+        if acc is not None:
+            if not idx.groups(acc) & idx.groups(value):
+                return None
+            value = _add(acc, value)
+        acc = value
     return acc
 
 
@@ -385,16 +389,15 @@ def linear_span(
     if not gens:
         return set()
     idx = _Membership(space)
-    terms: list[TaggedVector] = []
-    seen_terms: set[TaggedVector] = set()
+    # each term with its groups: a sum s + t exists when they share a group
+    terms: dict[TaggedVector, int] = {}
     for g in gens:
-        if not _scalar_defined(space, idx, g):
+        if not idx.groups(g):
             continue
         for alpha in range(g.ambient.p):
             t = _scale(alpha, g)
-            if t not in seen_terms:
-                seen_terms.add(t)
-                terms.append(t)
+            if t not in terms:
+                terms[t] = idx.groups(t)
     reachable: set[TaggedVector] = set(terms)
     frontier = list(terms)
     while frontier:
@@ -404,8 +407,9 @@ def linear_span(
             )
         fresh: list[TaggedVector] = []
         for s in frontier:
-            for t in terms:
-                if _addition_defined(space, idx, s, t):
+            groups = idx.groups(s)
+            for t, t_groups in terms.items():
+                if groups & t_groups:
                     u = _add(s, t)
                     if u not in reachable:
                         reachable.add(u)
@@ -421,10 +425,6 @@ def component_basis_vectors(space: MultiVectorSpace) -> list[TaggedVector]:
     return [
         TaggedVector(comp.ambient, row) for comp in space.components for row in comp.rows()
     ]
-
-
-def _vector_key(v: TaggedVector) -> tuple:
-    return (v.ambient.label, v.ambient.p, v.ambient.n, v.coords)
 
 
 def greedy_basis(
@@ -452,8 +452,9 @@ def greedy_basis(
     """
     delta = component_basis_vectors(space)
     if removal_order is None:
+        # a victim comes from a search over one ambient, so coordinates order it
         def victim_key(pos: int) -> tuple:
-            return (_vector_key(delta[pos]), pos)
+            return (delta[pos].coords, pos)
     else:
         if sorted(removal_order) != list(range(len(delta))):
             raise ValueError(
@@ -490,6 +491,7 @@ def basis_invariance_check(
     space: MultiVectorSpace, trials: int, seed: int
 ) -> InvarianceReport:
     """Run the greedy procedure under random removal orders and compare sizes."""
+    _check_int("trials", trials, 0)
     rng = random.Random(seed)
     m = len(component_basis_vectors(space))
     cards = []
@@ -521,15 +523,14 @@ def is_multi_subspace(
             for v in comp.enumerate(enumeration_cap)
         ]
     idx = _Membership(parent)
-    total = parent.policy is OperationPolicy.TOTAL
-    slices: dict[AmbientId | int, list[TaggedVector]] = {}
+    slices: dict[int, list[TaggedVector]] = {}
     for v in set(candidate):
-        bits = idx.mask(v)
-        if not bits:
+        if not idx.mask(v):
             return False
-        groups = [v.ambient] if total else [i for i in range(bits.bit_length()) if bits >> i & 1]
-        for group in groups:
-            slices.setdefault(group, []).append(v)
+        groups = idx.groups(v)
+        for i in range(groups.bit_length()):
+            if groups >> i & 1:
+                slices.setdefault(i, []).append(v)
     for members in slices.values():
         amb = members[0].ambient
         gens = _trusted(amb.p, len(members), amb.n, tuple(x for v in members for x in v.coords))
@@ -651,24 +652,26 @@ def validate_axioms(
 
     Every component is a row space over GF(p), so each axiom holds on every
     instance it has and only the counts carry information.  A component C
-    has |C|*p scalar multiples and |C|^2 sums; an ambient's union U has
-    |U|*p^2 distributivity instances, and under TOTAL every triple of U has
-    both groupings.  Components are still enumerated under the cap, so an
-    instance over the cap raises EnumerationTooLarge.
+    has |C|*p scalar multiples and |C|^2 sums, with |C| = p^dim; an ambient's
+    union U has |U|*p^2 distributivity instances, and under TOTAL every triple
+    of U has both groupings.  Components are still enumerated under the cap,
+    in order, so an instance over the cap raises EnumerationTooLarge.
     """
-    comp_sets = [frozenset(comp.enumerate(enumeration_cap)) for comp in space.components]
+    enumerated = [comp.enumerate(enumeration_cap) for comp in space.components]
     closure = sum(
-        len(s) * (comp.ambient.p + len(s)) for comp, s in zip(space.components, comp_sets)
+        len(vs) * (comp.ambient.p + len(vs)) for comp, vs in zip(space.components, enumerated)
     )
+    total = space.policy is OperationPolicy.TOTAL
+    idx = None if total else _Membership(space)
     assoc = dist = 0
     for ambient in space.ambients():
-        sets = [s for comp, s in zip(space.components, comp_sets) if comp.ambient == ambient]
-        union = frozenset().union(*sets)
+        lists = [vs for comp, vs in zip(space.components, enumerated) if comp.ambient == ambient]
+        union = set().union(*lists)
         dist += len(union) * ambient.p**2
-        if space.policy is OperationPolicy.TOTAL:
+        if total:
             assoc += len(union) ** 3
         else:
-            assoc += _closed_associativity_count(sets, ambient.p)
+            assoc += _closed_associativity_count(idx, ambient, union)
     return ValidationReport(
         notes=(_SCALAR_AXIOM_NOTE,),
         closure_checks=closure,
@@ -677,7 +680,7 @@ def validate_axioms(
     )
 
 
-def _closed_associativity_count(sets: list[frozenset], p: int) -> int:
+def _closed_associativity_count(idx: _Membership, ambient: AmbientId, union: set) -> int:
     """Triples (a, b, c) of one ambient's union for which both (a+b)+c and
     a+(b+c) exist under CLOSED.
 
@@ -687,12 +690,11 @@ def _closed_associativity_count(sets: list[frozenset], p: int) -> int:
     mask(b+c).  For a fixed b, a enters only through the pair
     (mask(a), mask(a+b)) and c only through (mask(c), mask(c+b)), the same
     pair by commutativity, so grouping the union by that pair makes the
-    count quadratic in the size of the union instead of cubic.
+    count quadratic in the size of the union instead of cubic.  The masks of
+    the union come from `idx`, and a sum outside the union has mask 0.
     """
-    masks: dict[tuple[int, ...], int] = {}
-    for i, s in enumerate(sets):
-        for v in s:
-            masks[v] = masks.get(v, 0) | 1 << i
+    p = ambient.p
+    masks = {v: idx.mask_at(ambient, v) for v in union}
     count = 0
     for b, mb in masks.items():
         groups = Counter(

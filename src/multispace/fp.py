@@ -6,12 +6,12 @@ nonzero pivot candidate, so reduced forms are canonical and comparable.
 
 Entries are checked once, at the public boundary: `FpMatrix(...)` and
 `FpMatrix.from_rows` check the prime, the shape (row and column counts are
-ints, not bools) and every entry, which must be an int (a bool is not) in
-[0, p).  `FpScalar`, `solve_membership`, `subspace.Subspace.contains` and
-`core.TaggedVector` hold their entries to the same test, `_residues`.  Matrices
-whose entries are residues by construction (the `rref` result, and the bases
-that `subspace` builds from reduced rows) are built through `_trusted`, which
-skips those checks.
+ints, not bools), that the entries are a tuple, and every entry, which must be
+an int (a bool is not) in [0, p).  `FpScalar`, `solve_membership`,
+`subspace.Subspace.contains` and `core.TaggedVector` hold their entries to the
+same test, `_residues`.  Matrices whose entries are residues by construction
+(the `rref` result, and the bases that `subspace` builds from reduced rows)
+are built through `_trusted`, which skips those checks.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ def is_prime(p: int) -> bool:
 def check_prime(p: int) -> None:
     if not isinstance(p, int) or isinstance(p, bool) or p > MAX_PRIME or not is_prime(p):
         raise ValueError(f"modulus must be a prime <= 2**31, got {p!r}")
+
+
+def _check_int(what: str, value, least: int) -> None:
+    """Raise ValueError unless `value` is an int (a bool is not) >= `least`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{what} must be an int >= {least}, got {value!r}")
 
 
 def _residues(values: Sequence, p: int) -> bool:
@@ -82,9 +88,10 @@ class FpMatrix:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
-        for size in (self.rows, self.cols):
-            if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-                raise ValueError(f"matrix dimensions must be ints >= 0, got {size!r}")
+        _check_int("matrix row count", self.rows, 0)
+        _check_int("matrix column count", self.cols, 0)
+        if type(self.entries) is not tuple:
+            raise ValueError(f"entries must be a tuple, got {type(self.entries).__name__}")
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "

@@ -23,8 +23,9 @@ class OracleConfig:
     coefficient_cap: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.enumeration_cap <= 0 or self.coefficient_cap <= 0:
-            raise ValueError("caps must be positive")
+        for cap in (self.enumeration_cap, self.coefficient_cap):
+            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+                raise ValueError(f"caps must be ints >= 1, got {cap!r}")
 
 
 def _rowspace(p: int, n: int, rows: list[tuple[int, ...]], cap: int) -> set[tuple[int, ...]]:

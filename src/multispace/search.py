@@ -18,7 +18,7 @@ from .core import (
     dim_inclusion_exclusion,
 )
 from .errors import CapExceeded, MultispaceError
-from .fp import FpMatrix, check_prime
+from .fp import FpMatrix, _check_int, check_prime
 from .subspace import AmbientId, span
 
 _AMBIENT_LABELS = "ABCDEFGH"
@@ -34,14 +34,19 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.primes) is not tuple or not self.primes:
+            raise ValueError(f"primes must be a non-empty tuple, got {self.primes!r}")
         for p in self.primes:
             check_prime(p)
-        if not self.primes:
-            raise ValueError("at least one prime is required")
-        if self.max_ambient_dim <= 0 or self.max_components <= 0:
-            raise ValueError("caps must be positive")
-        if not 1 <= self.max_ambients <= len(_AMBIENT_LABELS):
+        _check_int("max_ambient_dim", self.max_ambient_dim, 1)
+        _check_int("max_components", self.max_components, 1)
+        _check_int("max_ambients", self.max_ambients, 1)
+        if self.max_ambients > len(_AMBIENT_LABELS):
             raise ValueError(f"max_ambients must be in [1, {len(_AMBIENT_LABELS)}]")
+        if not isinstance(self.policy, OperationPolicy):
+            raise ValueError(f"policy must be an OperationPolicy, got {self.policy!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,7 @@ def find_formula_discrepancies(
     A draw on which either computation exceeds a cap is counted in
     `skipped`, and the run goes on with the next draw.
     """
+    _check_int("trials", trials, 0)
     reports = Findings()
     for draw in range(trials):
         instance = injected[draw] if draw < len(injected) else random_instance(cfg, draw)

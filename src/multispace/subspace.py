@@ -3,10 +3,11 @@
 A subspace is stored as its reduced-echelon basis, so equality of subspaces
 is plain equality of matrices.  The sum is the span of both bases stacked.
 A subspace's parity checks are read straight off its reduced basis, one check
-per non-pivot column (`_parity_checks`).  Membership tests a vector against
-them, and the intersection reduces the rows m of one basis as
-[checks(m) | m], with the checks of the other: the reduced rows whose check
-block is zero carry the meet in their right block.
+per non-pivot column (`_parity_checks`), and evaluated all at once as a
+syndrome (`_syndrome`).  A vector is a member when its syndrome is zero, and
+the intersection reduces the rows m of one basis as [syndrome(m) | m], with the
+checks of the other: the reduced rows whose check block is zero carry the meet
+in their right block.
 
 The canonical form is checked once, at the public boundary: `Subspace(...)`
 re-reduces the basis it is given.  The producers here (`span`, sum and
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import AmbientMismatch, DimensionMismatch, EnumerationTooLarge
-from .fp import FpMatrix, _residues, _trusted, check_prime, rref
+from .fp import FpMatrix, _check_int, _residues, _trusted, check_prime, rref
 
 DEFAULT_ENUMERATION_CAP = 729
 
@@ -49,8 +50,7 @@ class AmbientId:
                 f"with a digit, got {self.label!r}"
             )
         check_prime(self.p)
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 0:
-            raise ValueError(f"ambient dimension must be an int >= 0, got {self.n!r}")
+        _check_int("ambient dimension", self.n, 0)
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,7 @@ class Subspace:
         if not _residues(v, p):
             raise ValueError(f"vector entries must be int residues in [0, {p})")
         free, pivot_rows = _parity_checks(self)
-        return all(
-            (v[j] - sum(v[piv] * row[t] for piv, row in pivot_rows)) % p == 0
-            for t, j in enumerate(free)
-        )
+        return not any(_syndrome(v, free, pivot_rows, p))
 
     def sum(self, other: Subspace) -> Subspace:
         _check_same_ambient(self, other)
@@ -111,19 +108,12 @@ class Subspace:
         _check_same_ambient(self, other)
         ambient = self.ambient
         n, p = ambient.n, ambient.p
-        # the syndrome of m (all checks at once) is m - sum_i m[pivot_i] * basis[i]
-        # on the non-pivot columns
         free, pivot_rows = _parity_checks(other)
         k = len(free)
         width = k + n
         stacked: list[int] = []
         for m in self.rows():
-            syndrome = [m[j] for j in free]
-            for piv, row in pivot_rows:
-                c = m[piv]
-                if c:
-                    syndrome = [s - c * x for s, x in zip(syndrome, row)]
-            stacked.extend([s % p for s in syndrome])
+            stacked.extend(_syndrome(m, free, pivot_rows, p))
             stacked.extend(m)
         reduced = rref(_trusted(p, self.dim, width, tuple(stacked)))
         # the rows with a zero check block come last and span the vectors of
@@ -166,6 +156,18 @@ def _parity_checks(space: Subspace) -> tuple[list[int], list[tuple[int, list[int
     pivots = [row.index(1) for row in basis]
     free = [j for j in range(space.ambient.n) if j not in pivots]
     return free, [(piv, [row[j] for j in free]) for piv, row in zip(pivots, basis)]
+
+
+def _syndrome(v: tuple[int, ...], free: list[int], pivot_rows: list, p: int) -> list[int]:
+    """The values at v of the parity checks read by `_parity_checks`, all at
+    once: v - sum_i v[pivot_i] * basis[i] on the non-pivot columns, taken one
+    basis row at a time.  v passes every check exactly when it is zero."""
+    syndrome = [v[j] for j in free]
+    for piv, row in pivot_rows:
+        c = v[piv]
+        if c:
+            syndrome = [s - c * x for s, x in zip(syndrome, row)]
+    return [s % p for s in syndrome]
 
 
 def span(ambient: AmbientId, generators: FpMatrix) -> Subspace:

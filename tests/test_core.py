@@ -40,6 +40,7 @@ from multispace import (
     zero_vector,
 )
 from multispace import core as core_module
+from multispace.oracle import _chain_value, _component_sets
 from conftest import (
     brute_axiom_counts,
     brute_inclusion_exclusion,
@@ -209,6 +210,44 @@ class TestEvaluateChain:
         m = MultiVectorSpace((line_space(GF2, (0, 1)),), CLOSED)
         assert evaluate_chain(m, [term(1, tv(GF2, 1, 0))]) is None
 
+    def test_group_rule_matches_set_lookup(self):
+        # the oracle evaluates chains by lookup in enumerated component sets,
+        # sharing no membership index with the library; ambient C has no
+        # component, so under TOTAL it is a group that holds no union member
+        rng = random.Random(101)
+        outcomes = set()
+        for _ in range(600):
+            policy = rng.choice([TOTAL, CLOSED])
+            ambients = [
+                AmbientId(x, rng.choice([2, 3, 5]), rng.randint(1, 3))
+                for x in "AB"[: rng.randint(1, 2)]
+            ]
+            components = tuple(
+                random_subspace(rng, rng.choice(ambients)) for _ in range(rng.randint(1, 4))
+            )
+            m = MultiVectorSpace(components, policy)
+            bare = AmbientId("C", rng.choice([2, 3, 5]), rng.randint(1, 3))
+            pool = sorted(union_elements(m), key=lambda v: (v.ambient.label, v.coords))
+            for a in [*ambients, bare]:
+                pool.append(zero_vector(a))
+                pool.append(tv(a, *(rng.randrange(a.p) for _ in range(a.n))))
+            comp_sets = _component_sets(m, 729)
+            for _ in range(10):
+                vectors = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+                coeffs = tuple(rng.randrange(v.ambient.p) for v in vectors)
+                expected = _chain_value(comp_sets, policy is TOTAL, coeffs, vectors)
+                chain = [term(c, v) for c, v in zip(coeffs, vectors)]
+                assert evaluate_chain(m, chain) == expected
+                labels = {v.ambient.label for v in vectors}
+                kind = "several" if len(labels) > 1 else "bare" if labels == {"C"} else "one"
+                outcomes.add((policy, kind, expected is not None))
+        # every possible (policy, ambients, defined) outcome came up
+        assert outcomes == {
+            (TOTAL, "one", True), (TOTAL, "bare", True), (TOTAL, "several", False),
+            (CLOSED, "one", True), (CLOSED, "one", False), (CLOSED, "bare", False),
+            (CLOSED, "several", False),
+        }
+
 
 class TestLinearlyDependent:
     def test_zero_vector_makes_dependent(self):
@@ -353,6 +392,10 @@ class TestLinearSpan:
         m = MultiVectorSpace((line_space(GF2, (1, 0)), line_space(GF2, (0, 1))), TOTAL)
         spanned = linear_span(m, component_basis_vectors(m))
         assert spanned == {tv(GF2, 0, 0), tv(GF2, 1, 0), tv(GF2, 0, 1)}
+
+    def test_total_ambient_without_component_spans_nothing(self):
+        m = MultiVectorSpace((full_subspace(GF2),), TOTAL)
+        assert linear_span(m, [tv(GF2_B, 1, 0), tv(GF2_B, 0, 1)]) == set()
 
     def test_closed_stays_in_components(self):
         m = MultiVectorSpace((line_space(GF2, (1, 0)), line_space(GF2, (0, 1))), CLOSED)

@@ -10,11 +10,14 @@ from multispace import (
     DimensionMismatch,
     FpMatrix,
     FpScalar,
+    MultiVectorSpace,
+    OperationPolicy,
     SemanticError,
     Subspace,
     TaggedVector,
     ZeroInverse,
     fp_inv,
+    full_subspace,
     is_prime,
     parse_instance,
     rref,
@@ -176,6 +179,19 @@ MALFORMED = {
     ("FpMatrix", "bool rows"): (lambda: FpMatrix(2, True, 2, (1, 0)), ValueError),
     ("FpMatrix", "float cols"): (lambda: FpMatrix(2, 1, 2.0, (1, 0)), ValueError),
     ("FpMatrix", "bool cols"): (lambda: FpMatrix(2, 2, True, (1, 0)), ValueError),
+    # value types hold tuples, so that they hash and concatenate
+    ("FpMatrix", "list entries"): (lambda: FpMatrix(2, 1, 2, [1, 0]), ValueError),
+    ("TaggedVector", "list coords"): (
+        lambda: TaggedVector(AmbientId("A", 2, 2), [1, 0]), ValueError
+    ),
+    ("MultiVectorSpace", "list components"): (
+        lambda: MultiVectorSpace([full_subspace(AmbientId("A", 2, 2))], OperationPolicy.TOTAL),
+        ValueError,
+    ),
+    ("MultiVectorSpace", "non-Subspace component"): (
+        lambda: MultiVectorSpace((FpMatrix(2, 1, 2, (1, 0)),), OperationPolicy.TOTAL),
+        ValueError,
+    ),
 }
 
 

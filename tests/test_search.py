@@ -15,6 +15,8 @@ from multispace import (
     GeneratorConfig,
     MultiVectorSpace,
     OperationPolicy,
+    OracleConfig,
+    basis_invariance_check,
     brute_dependent,
     component_basis_vectors,
     dim_greedy,
@@ -116,6 +118,43 @@ class TestFindFormulaDiscrepancies:
         reports = find_formula_discrepancies(cfg, 200)
         draws = [r.draw for r in reports]
         assert draws == sorted(draws)
+
+
+# sizes and caps are ints (a bool is not) of at least 1, primes a non-empty
+# tuple, the policy an OperationPolicy, the seed an int, trial counts ints of
+# at least 0
+UNUSABLE = {
+    "max_ambient_dim float": lambda: GeneratorConfig(max_ambient_dim=2.5),
+    "max_ambient_dim zero": lambda: GeneratorConfig(max_ambient_dim=0),
+    "max_components bool": lambda: GeneratorConfig(max_components=True),
+    "max_ambients float": lambda: GeneratorConfig(max_ambients=1.0),
+    "max_ambients over the labels": lambda: GeneratorConfig(max_ambients=9),
+    "primes list": lambda: GeneratorConfig(primes=[2, 3]),
+    "primes empty": lambda: GeneratorConfig(primes=()),
+    "primes non-prime": lambda: GeneratorConfig(primes=(2, 4)),
+    "policy str": lambda: GeneratorConfig(policy="TOTAL"),
+    "seed list": lambda: GeneratorConfig(seed=[1]),
+    "enumeration_cap float": lambda: OracleConfig(enumeration_cap=1.5),
+    "enumeration_cap zero": lambda: OracleConfig(enumeration_cap=0),
+    "coefficient_cap bool": lambda: OracleConfig(coefficient_cap=True),
+    "invariance trials negative": lambda: basis_invariance_check(three_lines_gf2(), -1, 0),
+    "invariance trials float": lambda: basis_invariance_check(three_lines_gf2(), 2.0, 0),
+    "search trials negative": lambda: find_formula_discrepancies(GeneratorConfig(), -1),
+    "search trials bool": lambda: find_formula_discrepancies(GeneratorConfig(), True),
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE))
+def test_unusable_config_or_trial_count_raises(case):
+    with pytest.raises(ValueError):
+        UNUSABLE[case]()
+
+
+def test_smallest_usable_config_and_trial_counts():
+    cfg = GeneratorConfig(primes=(2,), max_ambient_dim=1, max_components=1, max_ambients=1)
+    assert random_instance(cfg, 0).components[0].ambient == AmbientId("A", 2, 1)
+    assert basis_invariance_check(three_lines_gf2(), 0, 0).cardinalities == ()
+    OracleConfig(enumeration_cap=1, coefficient_cap=1)
 
 
 class TestMinimize:
