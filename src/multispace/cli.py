@@ -27,6 +27,7 @@ from .core import (
 from .errors import CapExceeded, MultispaceError
 from .instancefile import _INT_RE, format_instance, parse_instance
 from .search import GeneratorConfig, find_formula_discrepancies
+from .subspace import DEFAULT_ENUMERATION_CAP
 
 
 class _UsageError(Exception):
@@ -135,7 +136,8 @@ def _build_parser() -> _Parser:
     # only the enumerating commands take a cap; the dependence search has
     # its own fixed step cap
     capped = argparse.ArgumentParser(add_help=False, parents=[shared])
-    capped.add_argument("--cap", type=_integer(1), default=729, help="enumeration cap")
+    capped.add_argument("--cap", type=_integer(1), default=DEFAULT_ENUMERATION_CAP,
+                        help="enumeration cap")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -40,6 +40,8 @@ from .errors import (
 from .fp import FpScalar, _check_int, _residues, _trusted
 from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace, _parity_checks, span
 
+# inclusion-exclusion forms at most 2^12 - 1 = 4,095 subset meets: all of
+# them for 12 components, and for more components as long as few are nonzero
 DEFAULT_SUBSET_CAP = 12
 
 # the CLOSED dependence search refuses lists that could take more steps
@@ -383,28 +385,25 @@ def linear_span(
     Computed as a fixed-point closure: the reachable set grows by one chain
     step (add a scaled generator) until nothing new appears, then gets
     filtered to union members.  Intermediate values may leave the union under
-    TOTAL policy and still serve as chain prefixes.
+    TOTAL policy and still serve as chain prefixes.  EnumerationTooLarge is
+    raised as soon as the reachable set grows past the cap.
     """
-    gens = list(generators)
-    if not gens:
-        return set()
+    _check_int("enumeration_cap", enumeration_cap, 1)
     idx = _Membership(space)
     # each term with its groups: a sum s + t exists when they share a group
     terms: dict[TaggedVector, int] = {}
-    for g in gens:
+    for g in generators:
         if not idx.groups(g):
             continue
         for alpha in range(g.ambient.p):
             t = _scale(alpha, g)
             if t not in terms:
                 terms[t] = idx.groups(t)
-    reachable: set[TaggedVector] = set(terms)
-    frontier = list(terms)
+    # 0 + t = t for every term t, as the zero vector of an ambient is in
+    # every group of it: so the closure grows from those zero vectors alone
+    frontier = list(dict.fromkeys(zero_vector(t.ambient) for t in terms))
+    reachable: set[TaggedVector] = set()
     while frontier:
-        if len(reachable) > enumeration_cap:
-            raise EnumerationTooLarge(
-                f"closure exceeds the enumeration cap of {enumeration_cap}"
-            )
         fresh: list[TaggedVector] = []
         for s in frontier:
             groups = idx.groups(s)
@@ -413,10 +412,12 @@ def linear_span(
                     u = _add(s, t)
                     if u not in reachable:
                         reachable.add(u)
+                        if len(reachable) > enumeration_cap:
+                            raise EnumerationTooLarge(
+                                f"closure exceeds the enumeration cap of {enumeration_cap}"
+                            )
                         fresh.append(u)
         frontier = fresh
-    if len(reachable) > enumeration_cap:
-        raise EnumerationTooLarge(f"closure exceeds the enumeration cap of {enumeration_cap}")
     return {v for v in reachable if idx.mask(v)}
 
 
@@ -516,6 +517,7 @@ def is_multi_subspace(
     union and each nonempty slice S of it by group is a subspace, that is
     |S| = p^rank(S): one rank per slice, no pairwise loop.
     """
+    _check_int("enumeration_cap", enumeration_cap, 1)
     if isinstance(candidate, MultiVectorSpace):
         candidate = [
             TaggedVector(comp.ambient, v)
@@ -558,38 +560,34 @@ def intersect_multispaces(
 def dim_inclusion_exclusion(space: MultiVectorSpace) -> int:
     """Alternating sum of intersection dimensions over all component subsets.
 
-    A subset whose components span several ambients has empty intersection
-    and contributes 0.  Meets are computed over the subset lattice: the meet
-    of a subset is the meet of the subset without its highest component,
-    intersected with that component, so each subset costs at most one
-    intersection.  A zero meet and a mixed-ambient subset pass on to every
-    superset without one.  More than DEFAULT_SUBSET_CAP (12) components raise
-    TooManyComponents.
+    Only subsets of one ambient's components with a nonzero meet need
+    forming: a subset over several ambients has empty intersection, and every
+    superset of a zero meet has dimension 0, so both contribute 0.  The walk
+    goes depth first from the singletons and extends a subset S by each later
+    component C of its ambient while meet(S) is nonzero, with
+    meet(S + C) = meet(S).intersect(C): one intersection per subset formed.
+    Forming more than 2^DEFAULT_SUBSET_CAP - 1 = 4,095 meets, singletons
+    included, raises TooManyComponents before the intersection that would
+    exceed it; so every instance of at most 12 components answers.
     """
-    components = space.components
-    k = len(components)
-    if k > DEFAULT_SUBSET_CAP:
-        raise TooManyComponents(f"{k} components exceed the subset cap of {DEFAULT_SUBSET_CAP}")
-    # meets[mask] is the meet of the components in mask, None across ambients
-    meets: list[Subspace | None] = [None] * (1 << k)
+    cap = (1 << DEFAULT_SUBSET_CAP) - 1
+    formed = len(space.components)
     total = 0
-    for mask in range(1, 1 << k):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        comp = components[top]
-        if not rest:
-            meet = comp
-        else:
-            below = meets[rest]
-            if below is None or below.ambient != comp.ambient:
-                meet = None
-            elif below.dim == 0:
-                meet = below
-            else:
-                meet = below.intersect(comp)
-        meets[mask] = meet
-        if meet is not None:
-            total += meet.dim if mask.bit_count() % 2 else -meet.dim
+    for ambient in space.ambients():
+        comps = space.components_in(ambient)
+        # (index of the last component taken, meet of the subset, its sign)
+        stack = [(i, comp, 1) for i, comp in enumerate(comps)]
+        while stack:
+            i, meet, sign = stack.pop()
+            total += sign * meet.dim
+            if meet.dim:
+                for j in range(i + 1, len(comps)):
+                    formed += 1
+                    if formed > cap:
+                        raise TooManyComponents(
+                            f"inclusion-exclusion would form more than {cap} subset meets"
+                        )
+                    stack.append((j, meet.intersect(comps[j]), -sign))
     return total
 
 
@@ -657,6 +655,7 @@ def validate_axioms(
     of U has both groupings.  Components are still enumerated under the cap,
     in order, so an instance over the cap raises EnumerationTooLarge.
     """
+    _check_int("enumeration_cap", enumeration_cap, 1)
     enumerated = [comp.enumerate(enumeration_cap) for comp in space.components]
     closure = sum(
         len(vs) * (comp.ambient.p + len(vs)) for comp, vs in zip(space.components, enumerated)

@@ -40,7 +40,7 @@ class SearchTooLarge(CapExceeded):
 
 
 class TooManyComponents(CapExceeded):
-    """Subset enumeration over components exceeds the configured cap."""
+    """Inclusion-exclusion would form more subset meets than its cap allows."""
 
 
 class ParseError(MultispaceError):

@@ -129,6 +129,7 @@ class Subspace:
 
     def enumerate(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
         """All p^dim vectors, in lexicographic order of basis coefficients."""
+        _check_int("enumeration_cap", cap, 1)
         p = self.ambient.p
         count = p**self.dim
         if count > cap:

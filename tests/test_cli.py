@@ -1,6 +1,7 @@
 """Instance file parsing and the command-line front end."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,13 @@ space V3 in A gen 1,1
 """
 
 MINIMAL = "policy TOTAL\nambient A p=2 n=2\nspace V1 in A gen 1,0\n"
+
+# the 15 lines of GF(2)^4, one component per nonzero vector
+FIFTEEN_LINES = "policy TOTAL\nambient A p=2 n=4\n" + "".join(
+    f"space V{i} in A gen {','.join(map(str, v))}\n"
+    for i, v in enumerate(product((0, 1), repeat=4))
+    if any(v)
+)
 
 VALIDATE_NOTE = (
     "scalar axiom checked in its distributive reading (k1+k2)*a = k1*a + k2*a; "
@@ -440,6 +448,13 @@ class TestCommands:
     def test_dim_three_lines_disagrees_with_exit_zero(self, three_lines_file, capsys):
         assert main(["dim", three_lines_file]) == 0
         assert capsys.readouterr().out == "greedy=2 inclusion-exclusion=3 agree=no\n"
+
+    def test_dim_past_twelve_components(self, tmp_path, capsys):
+        # the lines meet pairwise in 0: 120 subset meets, within the cap
+        path = tmp_path / "lines.ms"
+        path.write_text(FIFTEEN_LINES)
+        assert main(["dim", str(path)]) == 0
+        assert capsys.readouterr().out == "greedy=4 inclusion-exclusion=15 agree=no\n"
 
     def test_basis_output(self, three_lines_file, capsys):
         assert main(["basis", three_lines_file]) == 0

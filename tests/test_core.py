@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from multispace import (
+    DEFAULT_SUBSET_CAP,
     AmbientId,
     ChainTerm,
     EmptyChain,
@@ -21,6 +22,7 @@ from multispace import (
     additive_formula_check,
     basis_invariance_check,
     brute_dependent,
+    brute_intersection,
     brute_subspace_check,
     component_basis_vectors,
     dim_greedy,
@@ -674,6 +676,37 @@ class TestIntersectMultispaces:
         assert len(meet.components) == 1
 
 
+def count_intersections(monkeypatch) -> list[int]:
+    """A one-item list counting the `Subspace.intersect` calls from now on."""
+    calls = [0]
+    intersect = Subspace.intersect
+
+    def counted(self, other):
+        calls[0] += 1
+        return intersect(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", counted)
+    return calls
+
+
+def subsets_with_nonzero_prefix(comps) -> int:
+    """Subsets of two or more components of one ambient whose meet without
+    the last component has a nonzero vector, over enumerated meets."""
+    # meets[mask] is the enumerated meet of the components in mask, None
+    # across ambients
+    meets: list[set | None] = [None] * (1 << len(comps))
+    count = 0
+    for mask in range(1, 1 << len(comps)):
+        top = mask.bit_length() - 1
+        rest, comp = mask ^ (1 << top), comps[top]
+        if not rest:
+            meets[mask] = brute_intersection(comp, comp)
+        elif meets[rest] is not None and comps[rest.bit_length() - 1].ambient == comp.ambient:
+            count += len(meets[rest]) > 1
+            meets[mask] = meets[rest] & meets[1 << top]
+    return count
+
+
 class TestDimInclusionExclusion:
     def test_single_component(self):
         s = line_space(GF3, (1, 2))
@@ -709,6 +742,60 @@ class TestDimInclusionExclusion:
         comps = tuple(line_space(GF2, (1, 0)) for _ in range(13))
         with pytest.raises(TooManyComponents):
             dim_inclusion_exclusion(MultiVectorSpace(comps, TOTAL))
+
+    def test_component_cap_counts_the_meets_formed(self, monkeypatch):
+        # every meet of copies of one line is that line: the walk forms the 13
+        # singletons and 4,082 intersections, 4,095 meets, and refuses the next
+        calls = count_intersections(monkeypatch)
+        comps = tuple(line_space(GF2, (1, 0)) for _ in range(13))
+        with pytest.raises(TooManyComponents):
+            dim_inclusion_exclusion(MultiVectorSpace(comps, TOTAL))
+        assert calls[0] == (1 << DEFAULT_SUBSET_CAP) - 1 - 13
+
+    def test_fifteen_lines_of_gf2_4(self, monkeypatch):
+        # distinct lines meet in 0, so only the 105 pairs are intersected
+        ambient = AmbientId("A", 2, 4)
+        lines = [line_space(ambient, v) for v in product((0, 1), repeat=4) if any(v)]
+        calls = count_intersections(monkeypatch)
+        assert dim_inclusion_exclusion(MultiVectorSpace(tuple(lines), TOTAL)) == 15
+        assert calls[0] == 105
+
+    def test_thirty_components_over_ten_ambients(self):
+        rng = random.Random(1013)
+        sizes = [1] * 10
+        while sum(sizes) < 30:
+            i = rng.randrange(10)
+            if sizes[i] < 8:
+                sizes[i] += 1
+        comps = []
+        for i, size in enumerate(sizes):
+            ambient = AmbientId(f"A{i}", rng.choice([2, 3]), rng.randint(1, 3))
+            comps += [random_subspace(rng, ambient) for _ in range(size)]
+        rng.shuffle(comps)
+        for policy in (TOTAL, CLOSED):
+            m = MultiVectorSpace(tuple(comps), policy)
+            slices = [
+                MultiVectorSpace(tuple(m.components_in(ambient)), policy)
+                for ambient in m.ambients()
+            ]
+            assert dim_inclusion_exclusion(m) == sum(map(brute_inclusion_exclusion, slices))
+
+    def test_one_intersection_per_subset_with_a_nonzero_prefix(self, monkeypatch):
+        # a subset of two or more components of one ambient is intersected
+        # exactly when the meet of it without its last component is nonzero
+        calls = count_intersections(monkeypatch)
+        rng = random.Random(1021)
+        for _ in range(40):
+            ambients = [
+                AmbientId("AB"[i], rng.choice([2, 3]), rng.randint(1, 4))
+                for i in range(rng.randint(1, 2))
+            ]
+            comps = tuple(
+                random_subspace(rng, rng.choice(ambients)) for _ in range(rng.randint(1, 12))
+            )
+            calls[0] = 0
+            dim_inclusion_exclusion(MultiVectorSpace(comps, rng.choice([TOTAL, CLOSED])))
+            assert calls[0] == subsets_with_nonzero_prefix(comps)
 
     def test_cross_ambient_subsets_contribute_zero(self):
         m = MultiVectorSpace((full_subspace(GF2), full_subspace(GF2_B)), TOTAL)

@@ -18,10 +18,13 @@ from multispace import (
     ZeroInverse,
     fp_inv,
     full_subspace,
+    is_multi_subspace,
     is_prime,
+    linear_span,
     parse_instance,
     rref,
     solve_membership,
+    validate_axioms,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -110,6 +113,10 @@ def _parse_space(p: int, n: int, gen: str):
     return parse_instance(f"policy TOTAL\nambient A p={p} n={n}\nspace V in A gen {gen}\n")
 
 
+def _plane() -> MultiVectorSpace:
+    return MultiVectorSpace((full_subspace(AmbientId("A", 2, 2)),), OperationPolicy.TOTAL)
+
+
 # (entry point, defect) -> (call, expected exception).  The library builds its
 # own matrices without these checks, so each public entry point must keep them.
 MALFORMED = {
@@ -191,6 +198,30 @@ MALFORMED = {
     ("MultiVectorSpace", "non-Subspace component"): (
         lambda: MultiVectorSpace((FpMatrix(2, 1, 2, (1, 0)),), OperationPolicy.TOTAL),
         ValueError,
+    ),
+    # an enumeration cap is an int >= 1 wherever one is taken
+    ("Subspace.enumerate", "float cap"): (
+        lambda: _plane().components[0].enumerate(2.5), ValueError
+    ),
+    ("Subspace.enumerate", "bool cap"): (
+        lambda: _plane().components[0].enumerate(True), ValueError
+    ),
+    ("Subspace.enumerate", "zero cap"): (
+        lambda: _plane().components[0].enumerate(0), ValueError
+    ),
+    ("validate_axioms", "str cap"): (
+        lambda: validate_axioms(_plane(), enumeration_cap="x"), ValueError
+    ),
+    ("linear_span", "None cap"): (
+        lambda: linear_span(_plane(), [TaggedVector(AmbientId("A", 2, 2), (1, 0))], None),
+        ValueError,
+    ),
+    ("linear_span", "no generators, zero cap"): (lambda: linear_span(_plane(), [], 0), ValueError),
+    ("is_multi_subspace", "vector set, zero cap"): (
+        lambda: is_multi_subspace(set(), _plane(), enumeration_cap=0), ValueError
+    ),
+    ("is_multi_subspace", "float cap"): (
+        lambda: is_multi_subspace(_plane(), _plane(), enumeration_cap=729.0), ValueError
     ),
 }
 
