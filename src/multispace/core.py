@@ -27,17 +27,17 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
-    AmbientMismatch,
     EmptyChain,
     EnumerationTooLarge,
     PolicyMismatch,
     SearchTooLarge,
     TooManyComponents,
 )
-from .fp import FpScalar, _check_int, _residues, _trusted
+from .fp import FpScalar, RrefResult, _check_int, _residues, _trusted, rref
 from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace, _parity_checks, span
 
 # inclusion-exclusion forms at most 2^12 - 1 = 4,095 subset meets: all of
@@ -227,49 +227,25 @@ def evaluate_chain(
     return acc
 
 
-class _RankSearch:
-    """Forward elimination over one ambient, resumable across removals.
+def _one_ambient(vectors: list[TaggedVector]) -> bool:
+    """Whether a list can be dependent at all: it is nonempty and lies in one
+    ambient.  Over several ambients every full-length chain hits an undefined
+    cross-ambient addition."""
+    return bool(vectors) and len({v.ambient for v in vectors}) == 1
 
-    Each kept row is reduced against the rows kept before it and scaled to a
-    leading 1, together with its combination of the vectors pushed so far,
-    and is tagged with the list index of its vector.  Pushes stop at the
-    first vector that reduces to zero, so the kept rows depend only on the
-    list indices behind them: a call keeps the rows of the longest common
-    prefix of those indices and `alive`, and pushes on from there.
+
+def _column_rref(vectors: list[TaggedVector], order: Sequence[int]) -> RrefResult:
+    """The reduced form of the matrix whose column c is vectors[order[c]],
+    for vectors of one ambient.
+
+    A column is a pivot exactly when its vector is independent of the
+    columns before it, and a column that is not holds its vector's
+    coefficients over the pivot columns before it.
     """
-
-    def __init__(self, vectors: list[TaggedVector]):
-        self._vectors = vectors
-        self._p = vectors[0].ambient.p
-        self._rows: list[tuple[int, list[int], list[int]]] = []
-        self._kept: list[int] = []
-
-    def first_witness(self, alive: Sequence[int]) -> tuple[int, ...] | None:
-        """The combination of the first vector at the list indices `alive`
-        (increasing) that reduces to zero against the ones before it, with
-        coefficient 1 on that vector and 0 after it, or None."""
-        rows, kept, vectors, p = self._rows, self._kept, self._vectors, self._p
-        k = 0
-        for i, j in zip(kept, alive):
-            if i != j:
-                break
-            k += 1
-        del rows[k:], kept[k:]
-        for i in alive[k:]:
-            row = list(vectors[i].coords)
-            combo = [0] * len(rows) + [1]
-            for pivot, prow, pcombo in rows:
-                f = row[pivot]
-                if f:
-                    row = [(x - f * y) % p for x, y in zip(row, prow)]
-                    combo[: len(pcombo)] = [(x - f * y) % p for x, y in zip(combo, pcombo)]
-            lead = next((t for t, x in enumerate(row) if x), None)
-            if lead is None:
-                return tuple(combo) + (0,) * (len(alive) - len(combo))
-            inv = pow(row[lead], -1, p)
-            rows.append((lead, [(x * inv) % p for x in row], [(x * inv) % p for x in combo]))
-            kept.append(i)
-        return None
+    ambient = vectors[0].ambient
+    columns = [vectors[i].coords for i in order]
+    entries = tuple(chain.from_iterable(zip(*columns)))
+    return rref(_trusted(ambient.p, ambient.n, len(columns), entries))
 
 
 class _ChainSearch:
@@ -340,39 +316,36 @@ class _ChainSearch:
         return None
 
 
-def _search(
-    space: MultiVectorSpace, vectors: list[TaggedVector]
-) -> _RankSearch | _ChainSearch | None:
-    """The dependence search over a list, or None when the list is
-    independent outright: empty, or over several ambients, where every
-    full-length chain hits an undefined cross-ambient addition.  Under TOTAL
-    policy every combination within one ambient is defined, so dependence is
-    a rank test (`_RankSearch`); under CLOSED it is a chain-state search
-    (`_ChainSearch`)."""
-    if not vectors or len({v.ambient for v in vectors}) > 1:
-        return None
-    if space.policy is OperationPolicy.TOTAL:
-        return _RankSearch(vectors)
-    return _ChainSearch(space, vectors)
-
-
 def linearly_dependent(
     space: MultiVectorSpace, vectors: Sequence[TaggedVector]
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether some not-all-zero coefficient tuple gives a defined zero chain.
 
-    Both policies go through `_search`.  A list spanning several ambients is
-    independent outright.  Under TOTAL policy the witness is the combination
-    of the first vector that reduces to zero against the ones before it, with
-    coefficient 1 on that vector.  Under CLOSED it is the lexicographically
-    first tuple over the given vector order; the search raises SearchTooLarge
+    An empty list, or one spanning several ambients, is independent outright.
+    Under TOTAL policy every combination within one ambient is defined, so
+    dependence is a rank test: one `rref` of the matrix whose columns are the
+    vectors.  Its first non-pivot column is the first vector that depends on
+    the ones before it, and the witness is that vector's combination of them,
+    with coefficient 1 on that vector and 0 after it.  Under CLOSED the
+    witness is the lexicographically first tuple over the given vector order,
+    from a chain-state search (`_ChainSearch`) that raises SearchTooLarge
     when its step bound p * sum_{i<m} min(p^i, S) exceeds 2*10^6, for m
     vectors over GF(p) whose ambient's components hold S = sum p^dim.
     """
     vectors = list(vectors)
-    search = _search(space, vectors)
-    witness = None if search is None else search.first_witness(range(len(vectors)))
-    return witness is not None, witness
+    if not _one_ambient(vectors):
+        return False, None
+    if space.policy is OperationPolicy.CLOSED:
+        witness = _ChainSearch(space, vectors).first_witness(range(len(vectors)))
+        return witness is not None, witness
+    m = len(vectors)
+    reduced = _column_rref(vectors, range(m))
+    # the columns before the first non-pivot column j are the pivots 0..j-1
+    j = next((c for c, pivot in enumerate(reduced.pivots) if c != pivot), reduced.rank)
+    if j == m:
+        return False, None
+    p, entries = vectors[0].ambient.p, reduced.matrix.entries
+    return True, tuple(-entries[i * m + j] % p for i in range(j)) + (1,) + (0,) * (m - j - 1)
 
 
 def linear_span(
@@ -444,16 +417,20 @@ def greedy_basis(
     over the survivors reaches.
 
     A stacked list over several ambients is independent under either policy
-    and is returned as it is.  With one ambient, one search from `_search`
-    serves every removal and finds the witness a restart would find: the
-    `_RankSearch` keeps the rows of the vectors before the victim, and the
-    `_ChainSearch` keeps its failed chain states.  The CLOSED step bound is
-    checked once, on the stacked list, and raises SearchTooLarge as
+    and is returned as it is.  With one ambient under TOTAL, dependence is
+    that of the linear matroid and each witness is a circuit, so every step
+    drops a circuit's smallest vector by the removal key, and the survivors
+    are the basis greatest by that key (Edmonds, 1971).  One `rref` of the
+    vectors as columns in decreasing key order gives it: the pivot columns
+    are the vectors independent of those before them.  Under CLOSED one
+    `_ChainSearch` serves every removal and finds the witness a restart would
+    find, as it keeps its failed chain states; its step bound is checked
+    once, on the stacked list, and raises SearchTooLarge as
     `linearly_dependent` does on that list.
     """
     delta = component_basis_vectors(space)
     if removal_order is None:
-        # a victim comes from a search over one ambient, so coordinates order it
+        # the key only ever ranks vectors of one ambient, so coordinates order it
         def victim_key(pos: int) -> tuple:
             return (delta[pos].coords, pos)
     else:
@@ -462,11 +439,15 @@ def greedy_basis(
                 f"removal_order must be a permutation of range({len(delta)})"
             )
         victim_key = {pos: rank for rank, pos in enumerate(removal_order)}.__getitem__
+    if not _one_ambient(delta):
+        return delta
+    if space.policy is OperationPolicy.TOTAL:
+        order = sorted(range(len(delta)), key=victim_key, reverse=True)
+        return [delta[i] for i in sorted(order[c] for c in _column_rref(delta, order).pivots)]
+    search = _ChainSearch(space, delta)
     alive = list(range(len(delta)))
-    search = _search(space, delta)
-    if search is not None:
-        while (witness := search.first_witness(alive)) is not None:
-            alive.remove(min((k for k, c in zip(alive, witness) if c), key=victim_key))
+    while (witness := search.first_witness(alive)) is not None:
+        alive.remove(min((k for k, c in zip(alive, witness) if c), key=victim_key))
     return [delta[i] for i in alive]
 
 

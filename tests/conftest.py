@@ -168,6 +168,35 @@ def replay_greedy(space: MultiVectorSpace, dependent, removal_order=None) -> lis
     return [delta[i] for i in alive]
 
 
+def kruskal_basis(space: MultiVectorSpace, removal_order=None) -> list[TaggedVector]:
+    """The basis of a one-ambient TOTAL instance greatest by the removal key.
+
+    Visits the stacked positions from the last one the greedy procedure would
+    remove to the first (largest (coords, position) first by default, else
+    latest in `removal_order`), keeps a vector unless it lies in the span of
+    those kept, enumerated as a set of coordinate tuples, and returns the
+    kept vectors in position order.
+    """
+    delta = component_basis_vectors(space)
+    if removal_order is None:
+        def rank(pos):
+            return (delta[pos].coords, pos)
+    else:
+        rank = list(removal_order).index
+    ambient = space.components[0].ambient
+    p = ambient.p
+    spanned = {(0,) * ambient.n}
+    kept = []
+    for pos in sorted(range(len(delta)), key=rank, reverse=True):
+        v = delta[pos].coords
+        if v not in spanned:
+            kept.append(pos)
+            spanned = {
+                tuple((a + c * b) % p for a, b in zip(u, v)) for u in spanned for c in range(p)
+            }
+    return [delta[i] for i in sorted(kept)]
+
+
 def brute_inclusion_exclusion(space: MultiVectorSpace) -> int:
     """The alternating sum with every meet taken as a set of enumerated vectors."""
     comps = space.components

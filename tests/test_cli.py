@@ -10,7 +10,6 @@ from multispace import (
     AmbientId,
     GeneratorConfig,
     MultiVectorSpace,
-    MultispaceError,
     OperationPolicy,
     ParseError,
     SemanticError,

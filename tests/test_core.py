@@ -34,6 +34,7 @@ from multispace import (
     is_multi_subspace,
     linear_span,
     linearly_dependent,
+    rref,
     solve_membership,
     span,
     union_contains,
@@ -47,6 +48,7 @@ from conftest import (
     brute_axiom_counts,
     brute_inclusion_exclusion,
     group_semantics_cases,
+    kruskal_basis,
     line_space,
     random_one_ambient_instance,
     random_subspace,
@@ -445,7 +447,7 @@ class TestGreedyBasis:
                     assert basis == replay_greedy(m, lambda vs: brute_dependent(m, vs))
 
     @pytest.mark.parametrize("p", [2, 3, 101])
-    def test_resumed_elimination_matches_restart_loop(self, p):
+    def test_total_basis_matches_restart_loop(self, p):
         rng = random.Random(500 + p)
         for _ in range(60):
             ambients = [AmbientId("A", p, rng.randint(1, 5))]
@@ -486,33 +488,72 @@ class TestGreedyBasis:
                 assert greedy_basis(m, removal_order=order) == replay_greedy(m, dependent, order)
         assert brute_replays >= 10
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_total_basis_is_greatest_by_removal_key(self, p):
+        # the exchange argument: dropping a circuit's smallest vector by the
+        # removal key until none is left keeps the basis greatest by that key
+        rng = random.Random(900 + p)
+        removals = 0
+        for _ in range(40):
+            m = random_one_ambient_instance(rng, TOTAL, primes=(p,), max_components=5)
+            basis = greedy_basis(m)
+            assert basis == kruskal_basis(m)
+            size = len(component_basis_vectors(m))
+            for _ in range(3):
+                order = rng.sample(range(size), size)
+                assert greedy_basis(m, removal_order=order) == kruskal_basis(m, order)
+            removals += len(basis) < size
+        assert removals >= 10
+
+    def test_total_basis_is_one_rref(self, monkeypatch):
+        reductions = []
+
+        def counting_rref(m):
+            reductions.append(m.cols)
+            return rref(m)
+
+        def search(*args):
+            raise AssertionError("TOTAL greedy_basis ran a dependence search")
+
+        monkeypatch.setattr(core_module, "rref", counting_rref)
+        monkeypatch.setattr(core_module, "_ChainSearch", search)
+        monkeypatch.setattr(core_module, "linearly_dependent", search)
+        rng = random.Random(61)
+        several_removals = 0
+        for _ in range(40):
+            m = random_one_ambient_instance(rng, TOTAL, max_dim=3, max_components=4)
+            stacked = component_basis_vectors(m)
+            order = rng.sample(range(len(stacked)), len(stacked))
+            for removal_order in (None, order):
+                reductions.clear()
+                basis = greedy_basis(m, removal_order)
+                assert reductions == [len(stacked)]
+            several_removals += len(stacked) - len(basis) >= 2
+        assert several_removals >= 5
+
     def test_one_chain_search_per_basis(self, monkeypatch):
         searches = []
 
-        def counting(search_class):
-            class CountingSearch(search_class):
-                def __init__(self, *args):
-                    searches.append(len(args[-1]))
-                    super().__init__(*args)
-            return CountingSearch
+        class CountingSearch(core_module._ChainSearch):
+            def __init__(self, space, vectors):
+                searches.append(len(vectors))
+                super().__init__(space, vectors)
 
         def restart(space, vectors):
             raise AssertionError("greedy_basis restarted its dependence test")
 
-        for name in ("_ChainSearch", "_RankSearch"):
-            monkeypatch.setattr(core_module, name, counting(getattr(core_module, name)))
+        monkeypatch.setattr(core_module, "_ChainSearch", CountingSearch)
         monkeypatch.setattr(core_module, "linearly_dependent", restart)
         rng = random.Random(61)
-        for policy in (CLOSED, TOTAL):
-            several_removals = 0
-            for _ in range(40):
-                m = random_one_ambient_instance(rng, policy, max_dim=3, max_components=4)
-                stacked = component_basis_vectors(m)
-                searches.clear()
-                basis = greedy_basis(m)
-                assert searches == [len(stacked)]
-                several_removals += len(stacked) - len(basis) >= 2
-            assert several_removals >= 5
+        several_removals = 0
+        for _ in range(40):
+            m = random_one_ambient_instance(rng, CLOSED, max_dim=3, max_components=4)
+            stacked = component_basis_vectors(m)
+            searches.clear()
+            basis = greedy_basis(m)
+            assert searches == [len(stacked)]
+            several_removals += len(stacked) - len(basis) >= 2
+        assert several_removals >= 5
         # the step bound is checked once, on the stacked list: 9 basis rows
         # of GF(5)^9 take 2,441,405 steps, over the cap
         big = MultiVectorSpace((full_subspace(AmbientId("B", 5, 9)),), CLOSED)

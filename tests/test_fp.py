@@ -19,7 +19,6 @@ from multispace import (
     fp_inv,
     full_subspace,
     is_multi_subspace,
-    is_prime,
     linear_span,
     parse_instance,
     rref,

@@ -3,8 +3,9 @@
 The library runs on the standard library alone, and `oracle` is ground truth
 for the fast paths only while it shares no elimination, membership index or
 chain evaluator with them.  The references in `tests/conftest.py` are held
-apart the same way: they take only public names from the package.  All three
-aims are read off the import statements.
+apart the same way: they take only public names from the package.  And each
+module of the package uses every name it imports.  All four aims are read off
+the import statements.
 """
 
 import ast
@@ -71,8 +72,8 @@ def test_oracle_takes_only_data_types_from_the_package():
 
 
 def test_conftest_takes_no_private_names_from_the_package():
-    # the private names are the fast paths (`_RankSearch`, `_ChainSearch`,
-    # `_Membership`, ...) that the references in conftest are compared with
+    # the private names are the fast paths (`_ChainSearch`, `_Membership`,
+    # `_column_rref`, ...) that the references in conftest are compared with
     taken = [(module, name) for module, name in imports(CONFTEST) if module.startswith(".")]
     assert (".", "rref") in taken
     assert [
@@ -80,3 +81,19 @@ def test_conftest_takes_no_private_names_from_the_package():
         for module, name in taken
         if name.startswith("_") or any(part.startswith("_") for part in module.split("."))
     ] == []
+
+
+def test_package_modules_use_every_name_they_import():
+    # `__init__` imports to re-export, and `from __future__` is a compiler directive
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            (path.name, name)
+            for module, name in imports(path)
+            if module != "__future__" and name.split(".")[0] not in used
+        ]
+    assert unused == []

@@ -16,7 +16,6 @@ from multispace import (
     brute_intersection,
     brute_span,
     brute_subspace_check,
-    component_basis_vectors,
     full_subspace,
     is_multi_subspace,
     linear_span,
