@@ -19,6 +19,10 @@ Both policies state one rule: alpha*a + b exists exactly when a and b share an
 operation group, their ambient under TOTAL and a component under CLOSED.
 `_Membership` says which groups hold a vector, by the components' parity
 checks read off their reduced bases, so no component is enumerated for it.
+
+As every group lies in one ambient, inside this module a vector is its
+ambient and its coordinate tuple: chain steps run on the tuples, and a
+`TaggedVector` is built only for a vector that a function returns.
 """
 
 from __future__ import annotations
@@ -128,18 +132,6 @@ def zero_vector(ambient: AmbientId) -> TaggedVector:
     return TaggedVector(ambient, (0,) * ambient.n)
 
 
-def _scale(alpha: int, v: TaggedVector) -> TaggedVector:
-    if alpha == 1:
-        return v
-    p = v.ambient.p
-    return TaggedVector(v.ambient, tuple((alpha * x) % p for x in v.coords))
-
-
-def _add(x: TaggedVector, y: TaggedVector) -> TaggedVector:
-    p = x.ambient.p
-    return TaggedVector(x.ambient, tuple((a + b) % p for a, b in zip(x.coords, y.coords)))
-
-
 class _Membership:
     """Which components and operation groups of one instance hold a vector.
 
@@ -149,7 +141,9 @@ class _Membership:
     checks run one at a time and stop at the first that fails.  Masks are
     cached by coordinates within each ambient.
 
-    `groups` is the bitmask of the operation groups holding a vector: its mask
+    A vector is asked about as (ambient, coords), and each question has one
+    method.  `mask` is the bitmask of the components holding the vector.
+    `groups` is the bitmask of the operation groups holding it: its mask
     under CLOSED, where the groups are the components, and under TOTAL one bit
     per ambient, given when the ambient is first seen, so that an ambient with
     no component is a group too.  A scalar multiple of v exists when
@@ -169,8 +163,8 @@ class _Membership:
             self._checks.setdefault(comp.ambient, []).append((1 << i, checks))
         self._masks: dict[AmbientId, dict[tuple[int, ...], int]] = {a: {} for a in self._checks}
 
-    def mask_at(self, ambient: AmbientId, coords: tuple[int, ...]) -> int:
-        """The mask of the vector with these coordinates in `ambient`."""
+    def mask(self, ambient: AmbientId, coords: tuple[int, ...]) -> int:
+        """The bitmask of the components holding the vector."""
         cache = self._masks.get(ambient)
         if cache is None:
             return 0
@@ -190,20 +184,17 @@ class _Membership:
             cache[coords] = bits
         return bits
 
-    def mask(self, v: TaggedVector) -> int:
-        return self.mask_at(v.ambient, v.coords)
-
-    def groups(self, v: TaggedVector) -> int:
-        """The bitmask of the operation groups holding v."""
+    def groups(self, ambient: AmbientId, coords: tuple[int, ...]) -> int:
+        """The bitmask of the operation groups holding the vector."""
         if self._total:
-            return self._ambient_bits.setdefault(v.ambient, 1 << len(self._ambient_bits))
-        return self.mask_at(v.ambient, v.coords)
+            return self._ambient_bits.setdefault(ambient, 1 << len(self._ambient_bits))
+        return self.mask(ambient, coords)
 
 
 def union_contains(space: MultiVectorSpace, v: TaggedVector) -> bool:
     """Whether some component with a matching ambient contains v, by the
     components' parity checks (`_Membership`)."""
-    return _Membership(space).mask(v) != 0
+    return _Membership(space).mask(v.ambient, v.coords) != 0
 
 
 def evaluate_chain(
@@ -214,17 +205,19 @@ def evaluate_chain(
     if not terms:
         raise EmptyChain("a chain needs at least one term")
     idx = _Membership(space)
-    acc: TaggedVector | None = None
+    ambient = acc = None
     for term in terms:
-        if not idx.groups(term.vector):
+        v = term.vector
+        if not idx.groups(v.ambient, v.coords):
             return None
-        value = _scale(term.scalar.value, term.vector)
+        p, alpha = v.ambient.p, term.scalar.value
+        value = tuple((alpha * x) % p for x in v.coords)
         if acc is not None:
-            if not idx.groups(acc) & idx.groups(value):
+            if not idx.groups(ambient, acc) & idx.groups(v.ambient, value):
                 return None
-            value = _add(acc, value)
-        acc = value
-    return acc
+            value = tuple((a + b) % p for a, b in zip(acc, value))
+        ambient, acc = v.ambient, value
+    return TaggedVector(ambient, acc)
 
 
 def _one_ambient(vectors: list[TaggedVector]) -> bool:
@@ -275,7 +268,7 @@ class _ChainSearch:
         self._ambient = ambient
         self._idx = _Membership(space)
         # c*v lies in the components holding v for c != 0, and 0*v in all of them
-        self._masks = [self._idx.mask(v) for v in vectors]
+        self._masks = [self._idx.mask(ambient, v.coords) for v in vectors]
         self._scaled = [[tuple((c * x) % p for x in v.coords) for c in range(p)] for v in vectors]
         self._failed: set[tuple[int, tuple[int, ...], bool]] = set()
 
@@ -285,14 +278,14 @@ class _ChainSearch:
         masks, scaled, failed = self._masks, self._scaled, self._failed
         if not all(masks[k] for k in alive):
             return None
-        ambient, mask_at = self._ambient, self._idx.mask_at
+        ambient, mask = self._ambient, self._idx.mask
         p, end = ambient.p, len(masks)
         following = dict(zip(alive, [*alive[1:], end]))
 
         def children(k: int, acc: tuple[int, ...], seen: bool):
             after = following[k]
             yield 0, (after, acc, seen)
-            if mask_at(ambient, acc) & masks[k]:
+            if mask(ambient, acc) & masks[k]:
                 row = scaled[k]
                 for c in range(1, p):
                     yield c, (after, tuple((a + b) % p for a, b in zip(acc, row[c])), True)
@@ -358,40 +351,47 @@ def linear_span(
     Computed as a fixed-point closure: the reachable set grows by one chain
     step (add a scaled generator) until nothing new appears, then gets
     filtered to union members.  Intermediate values may leave the union under
-    TOTAL policy and still serve as chain prefixes.  EnumerationTooLarge is
-    raised as soon as the reachable set grows past the cap.
+    TOTAL policy and still serve as chain prefixes.  A sum exists only inside
+    one operation group, and a group lies in one ambient, so the closure runs
+    per ambient on coordinate tuples; one count over all ambients raises
+    EnumerationTooLarge as soon as the reachable set grows past the cap.
     """
     _check_int("enumeration_cap", enumeration_cap, 1)
     idx = _Membership(space)
-    # each term with its groups: a sum s + t exists when they share a group
-    terms: dict[TaggedVector, int] = {}
+    # each ambient's terms with their groups: a sum s + t exists when they share a group
+    terms: dict[AmbientId, dict[tuple[int, ...], int]] = {}
     for g in generators:
-        if not idx.groups(g):
+        ambient, p = g.ambient, g.ambient.p
+        if not idx.groups(ambient, g.coords):
             continue
-        for alpha in range(g.ambient.p):
-            t = _scale(alpha, g)
-            if t not in terms:
-                terms[t] = idx.groups(t)
-    # 0 + t = t for every term t, as the zero vector of an ambient is in
-    # every group of it: so the closure grows from those zero vectors alone
-    frontier = list(dict.fromkeys(zero_vector(t.ambient) for t in terms))
-    reachable: set[TaggedVector] = set()
-    while frontier:
-        fresh: list[TaggedVector] = []
-        for s in frontier:
-            groups = idx.groups(s)
-            for t, t_groups in terms.items():
+        own = terms.setdefault(ambient, {})
+        for alpha in range(p):
+            t = tuple((alpha * x) % p for x in g.coords)
+            if t not in own:
+                own[t] = idx.groups(ambient, t)
+    spanned: set[TaggedVector] = set()
+    reached = 0
+    for ambient, own in terms.items():
+        p = ambient.p
+        # 0 + t = t for every term t, as the zero vector of an ambient is in
+        # every group of it: so the closure grows from that zero vector alone
+        reachable: set[tuple[int, ...]] = set()
+        queue = [(0,) * ambient.n]
+        for s in queue:
+            groups = idx.groups(ambient, s)
+            for t, t_groups in own.items():
                 if groups & t_groups:
-                    u = _add(s, t)
+                    u = tuple((a + b) % p for a, b in zip(s, t))
                     if u not in reachable:
                         reachable.add(u)
-                        if len(reachable) > enumeration_cap:
+                        reached += 1
+                        if reached > enumeration_cap:
                             raise EnumerationTooLarge(
                                 f"closure exceeds the enumeration cap of {enumeration_cap}"
                             )
-                        fresh.append(u)
-        frontier = fresh
-    return {v for v in reachable if idx.mask(v)}
+                        queue.append(u)
+        spanned.update(TaggedVector(ambient, u) for u in reachable if idx.mask(ambient, u))
+    return spanned
 
 
 def component_basis_vectors(space: MultiVectorSpace) -> list[TaggedVector]:
@@ -500,23 +500,21 @@ def is_multi_subspace(
     """
     _check_int("enumeration_cap", enumeration_cap, 1)
     if isinstance(candidate, MultiVectorSpace):
-        candidate = [
-            TaggedVector(comp.ambient, v)
-            for comp in candidate.components
-            for v in comp.enumerate(enumeration_cap)
-        ]
+        comps = candidate.components
+        vectors = {(c.ambient, v) for c in comps for v in c.enumerate(enumeration_cap)}
+    else:
+        vectors = {(v.ambient, v.coords) for v in candidate}
     idx = _Membership(parent)
-    slices: dict[int, list[TaggedVector]] = {}
-    for v in set(candidate):
-        if not idx.mask(v):
+    slices: dict[int, tuple[AmbientId, list[tuple[int, ...]]]] = {}
+    for ambient, coords in vectors:
+        if not idx.mask(ambient, coords):
             return False
-        groups = idx.groups(v)
+        groups = idx.groups(ambient, coords)
         for i in range(groups.bit_length()):
             if groups >> i & 1:
-                slices.setdefault(i, []).append(v)
-    for members in slices.values():
-        amb = members[0].ambient
-        gens = _trusted(amb.p, len(members), amb.n, tuple(x for v in members for x in v.coords))
+                slices.setdefault(i, (ambient, []))[1].append(coords)
+    for amb, members in slices.values():
+        gens = _trusted(amb.p, len(members), amb.n, tuple(chain.from_iterable(members)))
         if amb.p ** span(amb, gens).dim != len(members):
             return False
     return True
@@ -674,7 +672,7 @@ def _closed_associativity_count(idx: _Membership, ambient: AmbientId, union: set
     the union come from `idx`, and a sum outside the union has mask 0.
     """
     p = ambient.p
-    masks = {v: idx.mask_at(ambient, v) for v in union}
+    masks = {v: idx.mask(ambient, v) for v in union}
     count = 0
     for b, mb in masks.items():
         groups = Counter(

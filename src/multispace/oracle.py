@@ -172,32 +172,31 @@ def brute_subspace_check(
     Iterates every alpha, a, b over the enumerated candidate union; wherever
     alpha*a + b exists under the parent's policy the result must be a
     candidate element, and the candidate must sit inside the parent union.
+    The candidate is grouped by ambient, as sets of coordinate tuples, and
+    each distinct multiple t = alpha*a is tried once against every b, as
+    whether t + b exists and its value depend on a and alpha only through t.
     """
+    by_ambient: dict[AmbientId, set[tuple[int, ...]]] = {}
     if isinstance(candidate, MultiVectorSpace):
-        union: set[TaggedVector] = set()
         for amb, s in _component_sets(candidate, cfg.enumeration_cap):
-            union.update(TaggedVector(amb, v) for v in s)
+            by_ambient.setdefault(amb, set()).update(s)
     else:
-        union = set(candidate)
+        for v in candidate:
+            by_ambient.setdefault(v.ambient, set()).add(v.coords)
 
     parent_sets = _component_sets(parent, cfg.enumeration_cap)
     total = parent.policy is OperationPolicy.TOTAL
 
-    if not all(_in_some(parent_sets, v.ambient, v.coords) for v in union):
+    if not all(_in_some(parent_sets, amb, x) for amb, xs in by_ambient.items() for x in xs):
         return False
 
-    for a in union:
-        p = a.ambient.p
-        if not (total or _in_some(parent_sets, a.ambient, a.coords)):
-            continue
-        for alpha in range(p):
-            t = tuple((alpha * x) % p for x in a.coords)
-            for b in union:
-                if b.ambient != a.ambient:
+    for amb, members in by_ambient.items():
+        p = amb.p
+        multiples = {tuple((alpha * x) % p for x in a) for a in members for alpha in range(p)}
+        for t in multiples:
+            for b in members:
+                if not (total or _in_common(parent_sets, amb, t, b)):
                     continue
-                if not (total or _in_common(parent_sets, a.ambient, t, b.coords)):
-                    continue
-                u = TaggedVector(a.ambient, tuple((x + y) % p for x, y in zip(t, b.coords)))
-                if u not in union:
+                if tuple((x + y) % p for x, y in zip(t, b)) not in members:
                     return False
     return True

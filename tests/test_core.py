@@ -10,6 +10,7 @@ from multispace import (
     AmbientId,
     ChainTerm,
     EmptyChain,
+    EnumerationTooLarge,
     FpMatrix,
     FpScalar,
     MultiVectorSpace,
@@ -23,6 +24,7 @@ from multispace import (
     basis_invariance_check,
     brute_dependent,
     brute_intersection,
+    brute_span,
     brute_subspace_check,
     component_basis_vectors,
     dim_greedy,
@@ -406,6 +408,29 @@ class TestLinearSpan:
         spanned = linear_span(m, component_basis_vectors(m))
         assert spanned == {tv(GF2, 0, 0), tv(GF2, 1, 0), tv(GF2, 0, 1)}
 
+    @pytest.mark.parametrize("policy", [TOTAL, CLOSED])
+    def test_cap_counts_every_ambient(self, policy):
+        # each plane alone reaches its 4 vectors, the two together 8
+        m = MultiVectorSpace((full_subspace(GF2), full_subspace(GF2_B)), policy)
+        gens = component_basis_vectors(m)
+        assert linear_span(m, gens, 8) == union_elements(m)
+        with pytest.raises(EnumerationTooLarge, match="^closure exceeds the enumeration cap of 7$"):
+            linear_span(m, gens, 7)
+
+    @pytest.mark.parametrize("policy", [TOTAL, CLOSED])
+    def test_two_ambients_match_brute_span(self, policy):
+        rng = random.Random(151)
+        for _ in range(60):
+            first = random_one_ambient_instance(rng, policy, max_dim=3, label="A")
+            second = random_one_ambient_instance(rng, policy, max_dim=3, label="B")
+            m = MultiVectorSpace(first.components + second.components, policy)
+            pool = sorted(union_elements(m), key=lambda v: (v.ambient.label, v.coords))
+            gens = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.3:
+                ambient = rng.choice(m.ambients())
+                gens.append(tv(ambient, *(rng.randrange(ambient.p) for _ in range(ambient.n))))
+            assert linear_span(m, gens) == brute_span(m, gens)
+
 
 class TestGreedyBasis:
     def test_single_component_unchanged(self):
@@ -655,7 +680,8 @@ class TestIsMultiSubspace:
 
     @pytest.mark.parametrize("policy", [TOTAL, CLOSED])
     def test_decides_without_chain_steps(self, monkeypatch, policy):
-        # one rank per operation group: no alpha*a + b is ever formed
+        # one rank per operation group: no alpha*a + b is ever formed, so
+        # membership is asked only of the candidate's own vectors
         rng = random.Random(131)
         cases = [(c, p) for _, c, p, _ in group_semantics_cases()]
         for _ in range(40):
@@ -668,12 +694,23 @@ class TestIsMultiSubspace:
         expected = [brute_subspace_check(c, p) for c, p in cases]
         assert True in expected and False in expected
 
-        def no_step(*args):
-            raise AssertionError("the criterion formed a chain step")
+        asked: list[tuple[AmbientId, tuple[int, ...]]] = []
+        mask = core_module._Membership.mask
 
-        monkeypatch.setattr(core_module, "_add", no_step)
-        monkeypatch.setattr(core_module, "_scale", no_step)
-        assert [is_multi_subspace(c, p) for c, p in cases] == expected
+        def recording_mask(idx, ambient, coords):
+            asked.append((ambient, coords))
+            return mask(idx, ambient, coords)
+
+        monkeypatch.setattr(core_module._Membership, "mask", recording_mask)
+        verdicts = []
+        for candidate, parent in cases:
+            start = len(asked)
+            verdicts.append(is_multi_subspace(candidate, parent))
+            if isinstance(candidate, MultiVectorSpace):
+                candidate = union_elements(candidate)
+            assert set(asked[start:]) <= {(v.ambient, v.coords) for v in candidate}
+        assert asked
+        assert verdicts == expected
 
 
 class TestIntersectMultispaces:
