@@ -4,6 +4,16 @@ Residues are plain ints in [0, p); matrices are immutable row-major tuples.
 Everything here is deterministic: elimination always picks the topmost
 nonzero pivot candidate, so reduced forms are canonical and comparable.
 
+`rref` is the one elimination, at every size and every p.  It packs each row
+into one int, an entry per slot of w bits, with w the bit length of
+rows*(p-1)**2 + p.  A row operation is then one bigint multiply-add, and no
+slot needs reducing mod p between row operations, since none can carry into
+the next: Kronecker substitution with delayed reduction (Dumas, Fousse and
+Salvy, "Simultaneous modular reduction and Kronecker substitution for small
+finite fields", J. Symb. Comput., 2011).  A slot is reduced only where it is
+read: in the pivot search, for a row's factor, for the scaled pivot row, and
+in the result, whose entries are plain residues.
+
 Entries are checked once, at the public boundary: `FpMatrix(...)` and
 `FpMatrix.from_rows` check the prime, the shape (row and column counts are
 ints, not bools), that the entries are a tuple, and every entry, which must be
@@ -21,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lshift
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, ZeroInverse
@@ -142,31 +153,62 @@ def rref(m: FpMatrix) -> RrefResult:
 
     Pivots are scaled to 1 and their columns cleared above and below, which
     makes the output the unique canonical form of the row space.
+
+    Each row is held as one int, entry j in the w-bit slot at bit j*w, with
+    w the bit length of rows*(p-1)**2 + p.  A slot starts below p, and each
+    pivot adds at most (p-1)**2 to it: clearing a column adds (p-f)*L to a
+    row, where f is the row's entry in the pivot column and L the pivot row,
+    scaled, with every slot below p.  A pivot row is reset to such an L when
+    it is chosen, and there are at most `rows` pivots, so no slot reaches
+    2**w and carries into the next.  Slots only grow, so none borrows.  A
+    row operation is then one bigint multiply-add, and a slot is reduced mod
+    p only where it is read: in the pivot search, for the factor f, for L,
+    and in the result.
     """
-    p = m.p
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    p, nrows, ncols = m.p, m.rows, m.cols
+    w = (nrows * (p - 1) ** 2 + p).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, ncols * w, w)
+    e = m.entries
+    # plain loops rather than comprehensions: most calls are on a few rows,
+    # where building a comprehension's frame costs more than its loop
+    rows = []
+    for i in range(nrows):
+        rows.append(sum(map(lshift, e[i * ncols : (i + 1) * ncols], shifts)))
     pivots: list[int] = []
     r = 0
-    for col in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if rows[i][col]), None)
-        if pivot_row is None:
+    for col in range(ncols):
+        s = shifts[col]
+        for i in range(r, nrows):
+            if (rows[i] >> s & mask) % p:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        # rows r.. are zero left of col (earlier pivots cleared them, and the
-        # skipped columns had no entry there), so only columns col.. change
-        inv = pow(rows[r][col], -1, p)
-        lead = [(x * inv) % p for x in rows[r][col:]]
-        rows[r][col:] = lead
-        for i in range(m.rows):
-            f = rows[i][col]
-            if i != r and f:
-                rows[i][col:] = [(x - f * y) % p for x, y in zip(rows[i][col:], lead)]
+        row = rows[i]
+        rows[i] = rows[r]
+        # rows r.. are zero mod p left of col (earlier pivots cleared them,
+        # and the skipped columns had no entry there), so L starts at col
+        inv = pow(row >> s & mask, -1, p)
+        lead = 0
+        for t in shifts[col:]:
+            lead |= (row >> t & mask) * inv % p << t
+        rows[r] = lead
+        for i in range(nrows):
+            if i != r:
+                f = (rows[i] >> s & mask) % p
+                if f:
+                    rows[i] += (p - f) * lead
         pivots.append(col)
         r += 1
-        if r == m.rows:
+        if r == nrows:
             break
-    flat = tuple(x for row in rows for x in row)
-    return RrefResult(_trusted(p, m.rows, m.cols, flat), r, tuple(pivots))
+    # rows r.. are zero mod p: every column is a pivot's or was skipped
+    flat = []
+    for row in rows[:r]:
+        for t in shifts:
+            flat.append((row >> t & mask) % p)
+    entries = tuple(flat) + (0,) * ((nrows - r) * ncols)
+    return RrefResult(_trusted(p, nrows, ncols, entries), r, tuple(pivots))
 
 
 def solve_membership(basis: FpMatrix, v: Sequence[int]) -> tuple[int, ...] | None:

@@ -10,6 +10,7 @@ from multispace import (
     FpMatrix,
     MultiVectorSpace,
     OperationPolicy,
+    RrefResult,
     Subspace,
     TaggedVector,
     brute_intersection,
@@ -23,6 +24,39 @@ def random_subspace(rng: random.Random, ambient: AmbientId, max_gens: int | None
     g = rng.randint(0, ambient.n if max_gens is None else max_gens)
     entries = tuple(rng.randrange(ambient.p) for _ in range(g * ambient.n))
     return span(ambient, FpMatrix(ambient.p, g, ambient.n, entries))
+
+
+def reference_rref(m: FpMatrix) -> RrefResult:
+    """Reference reduced row echelon form over GF(p), on lists of residues.
+
+    Each row operation reduces every entry mod p.  `rref`, which packs rows
+    into ints and defers the reduction, must give the same result, as RREF
+    is unique.  The result goes through the checked `FpMatrix` constructor.
+    """
+    p = m.p
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots: list[int] = []
+    r = 0
+    for col in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        # rows r.. are zero left of col (earlier pivots cleared them, and the
+        # skipped columns had no entry there), so only columns col.. change
+        inv = pow(rows[r][col], -1, p)
+        lead = [(x * inv) % p for x in rows[r][col:]]
+        rows[r][col:] = lead
+        for i in range(m.rows):
+            f = rows[i][col]
+            if i != r and f:
+                rows[i][col:] = [(x - f * y) % p for x, y in zip(rows[i][col:], lead)]
+        pivots.append(col)
+        r += 1
+        if r == m.rows:
+            break
+    flat = tuple(x for row in rows for x in row)
+    return RrefResult(FpMatrix(p, m.rows, m.cols, flat), r, tuple(pivots))
 
 
 def zassenhaus(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multispace import (
     AmbientId,
@@ -25,8 +25,14 @@ from multispace import (
     solve_membership,
     validate_axioms,
 )
+from conftest import reference_rref
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+# the packed `rref` sizes its slots from p and the row count, so the
+# differential tests span both small and word-sized primes
+DIFF_PRIMES = [2, 3, 5, 101, 2**31 - 1]
+LARGE_PRIMES = [101, 2**31 - 1]
+LARGE_SHAPES = [(16, 20), (32, 40), (32, 72)]
 
 
 def scan_inverse(a: int, p: int) -> int:
@@ -106,6 +112,100 @@ class TestFpMatrix:
     def test_from_rows_ragged(self):
         with pytest.raises(DimensionMismatch):
             FpMatrix.from_rows(3, [(1, 2), (1,)])
+
+
+def random_matrix(rng: random.Random, p: int, rows: int, cols: int) -> FpMatrix:
+    return FpMatrix(p, rows, cols, tuple(rng.randrange(p) for _ in range(rows * cols)))
+
+
+def low_rank_matrix(rng: random.Random, p: int, rows: int, cols: int, rank: int) -> FpMatrix:
+    """A rows x cols matrix whose rows are random combinations of `rank` random rows."""
+    basis = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+    stacked = []
+    for _ in range(rows):
+        coeffs = [rng.randrange(p) for _ in range(rank)]
+        stacked.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) % p for j in range(cols)))
+    return FpMatrix.from_rows(p, stacked, cols=cols)
+
+
+def extreme_fills(p: int, rows: int, cols: int) -> dict[str, FpMatrix]:
+    """Three fills of the top residue p-1, by name.
+
+    "full" is p-1 everywhere and "upper" p-1 on and above the diagonal.
+    "bordered" drives slots of the packed `rref` to the most that pivots can
+    add: with k = min(rows, cols) - 1, row i < k is the unit row e_i, rows
+    k.. are 1 in the columns 0..k-1, and every row is p-1 in the columns
+    k..  Each of the first k pivots then adds (p-1)*(p-1) to the slots k..
+    of rows k.., as their factor is 1 and the pivot row holds p-1 there, so
+    those slots reach k*(p-1)**2 + p-1.
+    """
+    k = min(rows, cols) - 1
+
+    def bordered(i, j):
+        if j >= k:
+            return p - 1
+        return int(j == i or i >= k)
+
+    return {
+        "full": FpMatrix(p, rows, cols, (p - 1,) * (rows * cols)),
+        "upper": FpMatrix(
+            p, rows, cols, tuple(p - 1 if j >= i else 0 for i in range(rows) for j in range(cols))
+        ),
+        "bordered": FpMatrix(
+            p, rows, cols, tuple(bordered(i, j) for i in range(rows) for j in range(cols))
+        ),
+    }
+
+
+def large_matrices() -> dict[str, FpMatrix]:
+    """Seeded full-rank and rank-deficient matrices at the large shapes and
+    primes, and the extreme fills at every differential prime, by label."""
+    rng = random.Random(41)
+    out = {}
+    for p in LARGE_PRIMES:
+        for rows, cols in LARGE_SHAPES:
+            shape = f"p{p}-{rows}x{cols}"
+            for i in range(3):
+                out[f"random{i}-{shape}"] = random_matrix(rng, p, rows, cols)
+            out[f"rank{rows // 3}-{shape}"] = low_rank_matrix(rng, p, rows, cols, rows // 3)
+    for p in DIFF_PRIMES:
+        for rows, cols in LARGE_SHAPES + [(8, 10), (10, 8)]:
+            for fill, m in extreme_fills(p, rows, cols).items():
+                out[f"{fill}-p{p}-{rows}x{cols}"] = m
+    return out
+
+
+LARGE_MATRICES = large_matrices()
+
+
+@st.composite
+def stacked_matrices(draw):
+    """A matrix over a differential prime, 0-8 rows by 0-10 columns.  Each
+    row is drawn fresh, zero, a copy of an earlier row or a combination of
+    earlier rows, so rank-deficient stacks are common; then some columns are
+    zeroed.  Entries lean to 0, 1 and p-1."""
+    p = draw(st.sampled_from(DIFF_PRIMES))
+    nrows = draw(st.integers(min_value=0, max_value=8))
+    ncols = draw(st.integers(min_value=0, max_value=10))
+    residue = st.sampled_from([0, 1, p - 1]) | st.integers(min_value=0, max_value=p - 1)
+    stacked: list[list[int]] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy", "combination"]))
+        if kind == "fresh" or not stacked:
+            row = [draw(residue) for _ in range(ncols)]
+        elif kind == "zero":
+            row = [0] * ncols
+        elif kind == "copy":
+            row = list(draw(st.sampled_from(stacked)))
+        else:
+            row = [0] * ncols
+            for earlier in stacked:
+                c = draw(residue)
+                row = [(x + c * y) % p for x, y in zip(row, earlier)]
+        stacked.append(row)
+    zeroed = draw(st.sets(st.integers(min_value=0, max_value=max(ncols - 1, 0))))
+    rows = [tuple(0 if j in zeroed else x for j, x in enumerate(row)) for row in stacked]
+    return FpMatrix(p, nrows, ncols, tuple(x for row in rows for x in row))
 
 
 def _parse_space(p: int, n: int, gen: str):
@@ -233,13 +333,17 @@ class TestPublicBoundary:
             call()
 
     def test_trusted_results_equal_checked_matrices(self):
+        # an entry the packed `rref` left unreduced, or a negative one, fails
+        # the re-check in `FpMatrix(...)`
         rng = random.Random(29)
-        for _ in range(100):
-            p = rng.choice([2, 3, 101, 2**31 - 1])
-            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
-            m = FpMatrix(p, rows, cols, tuple(rng.randrange(p) for _ in range(rows * cols)))
+        primes = [2, 3, *LARGE_PRIMES]
+        small = [
+            random_matrix(rng, rng.choice(primes), rng.randint(0, 4), rng.randint(0, 4))
+            for _ in range(100)
+        ]
+        for m in small + list(LARGE_MATRICES.values()):
             out = rref(m).matrix
-            checked = FpMatrix(p, out.rows, out.cols, out.entries)
+            checked = FpMatrix(m.p, out.rows, out.cols, out.entries)
             assert out == checked and hash(out) == hash(checked)
 
 
@@ -303,6 +407,20 @@ class TestRref:
             shuffled = rws[:]
             rng.shuffle(shuffled)
             assert rref(FpMatrix.from_rows(p, shuffled, cols=cols)).rank == base
+
+
+class TestPackedRref:
+    """The packed `rref` against the list reference in conftest, matrix for
+    matrix: RREF is unique, so the results must be equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_matrices())
+    def test_equals_reference(self, m):
+        assert rref(m) == reference_rref(m)
+
+    @pytest.mark.parametrize("m", list(LARGE_MATRICES.values()), ids=list(LARGE_MATRICES))
+    def test_equals_reference_at_large_shapes(self, m):
+        assert rref(m) == reference_rref(m)
 
 
 class TestSolveMembership:
