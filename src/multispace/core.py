@@ -41,7 +41,7 @@ from .errors import (
     SearchTooLarge,
     TooManyComponents,
 )
-from .fp import FpScalar, RrefResult, _check_int, _residues, _trusted, rref
+from .fp import EchelonState, FpScalar, RrefResult, _check_int, _residues, _trusted, rref
 from .subspace import DEFAULT_ENUMERATION_CAP, AmbientId, Subspace, _parity_checks, span
 
 # inclusion-exclusion forms at most 2^12 - 1 = 4,095 subset meets: all of
@@ -316,10 +316,11 @@ def linearly_dependent(
 
     An empty list, or one spanning several ambients, is independent outright.
     Under TOTAL policy every combination within one ambient is defined, so
-    dependence is a rank test: one `rref` of the matrix whose columns are the
-    vectors.  Its first non-pivot column is the first vector that depends on
-    the ones before it, and the witness is that vector's combination of them,
-    with coefficient 1 on that vector and 0 after it.  Under CLOSED the
+    dependence is a rank test: the vectors are pushed into an
+    `fp.EchelonState` in order, up to the first that depends on the ones
+    before it.  The witness is that vector's combination of them, with
+    coefficient 1 on that vector and 0 after it, read off one `rref` of the
+    matrix whose columns are the vectors up to it.  Under CLOSED the
     witness is the lexicographically first tuple over the given vector order,
     from a chain-state search (`_ChainSearch`) that raises SearchTooLarge
     when its step bound p * sum_{i<m} min(p^i, S) exceeds 2*10^6, for m
@@ -331,14 +332,17 @@ def linearly_dependent(
     if space.policy is OperationPolicy.CLOSED:
         witness = _ChainSearch(space, vectors).first_witness(range(len(vectors)))
         return witness is not None, witness
-    m = len(vectors)
-    reduced = _column_rref(vectors, range(m))
-    # the columns before the first non-pivot column j are the pivots 0..j-1
-    j = next((c for c, pivot in enumerate(reduced.pivots) if c != pivot), reduced.rank)
-    if j == m:
+    ambient = vectors[0].ambient
+    state = EchelonState(ambient.p, ambient.n)
+    for j, v in enumerate(vectors):
+        if not state.push(state.pack(v.coords)):
+            break
+    else:
         return False, None
-    p, entries = vectors[0].ambient.p, reduced.matrix.entries
-    return True, tuple(-entries[i * m + j] % p for i in range(j)) + (1,) + (0,) * (m - j - 1)
+    # columns 0..j-1 are the pivots, and column j holds v_j's coefficients over them
+    entries = _column_rref(vectors, range(j + 1)).matrix.entries
+    coeffs = tuple(-entries[i * (j + 1) + j] % ambient.p for i in range(j))
+    return True, coeffs + (1,) + (0,) * (len(vectors) - j - 1)
 
 
 def linear_span(
@@ -543,30 +547,63 @@ def dim_inclusion_exclusion(space: MultiVectorSpace) -> int:
     forming: a subset over several ambients has empty intersection, and every
     superset of a zero meet has dimension 0, so both contribute 0.  The walk
     goes depth first from the singletons and extends a subset S by each later
-    component C of its ambient while meet(S) is nonzero, with
-    meet(S + C) = meet(S).intersect(C): one intersection per subset formed.
-    Forming more than 2^DEFAULT_SUBSET_CAP - 1 = 4,095 meets, singletons
-    included, raises TooManyComponents before the intersection that would
-    exceed it; so every instance of at most 12 components answers.
+    component C of its ambient while meet(S) is nonzero.  A meet's dimension
+    comes from the dual form: the checks of an intersection are the checks of
+    its components together, (meet S)^perp = sum of C^perp over C in S, so
+    dim meet(S) = n - rank(the parity checks of S stacked).  The checks of
+    each subset the walk extends are held as an `fp.EchelonState` (a
+    singleton's is built when it is first extended), and S + C copies the
+    state of S and pushes the checks of C, read once per call
+    (`_parity_checks`): one copy per subset formed past the singletons, and
+    no intersection.  Forming more than 2^DEFAULT_SUBSET_CAP - 1 = 4,095
+    meets, singletons included, raises TooManyComponents before the meet
+    that would exceed it; so every instance of at most 12 components
+    answers.
     """
     cap = (1 << DEFAULT_SUBSET_CAP) - 1
     formed = len(space.components)
     total = 0
     for ambient in space.ambients():
         comps = space.components_in(ambient)
-        # (index of the last component taken, meet of the subset, its sign)
-        stack = [(i, comp, 1) for i, comp in enumerate(comps)]
+        p, n = ambient.p, ambient.n
+        # per component, its checks as packed rows: for each non-pivot column
+        # j, 1 at j and -basis[i][j] at the pivot of each basis row i; a lone
+        # component is never extended, and needs none
+        checks = []
+        if len(comps) > 1:
+            packer = EchelonState(p, n)
+            for comp in comps:
+                free, pivot_rows = _parity_checks(comp)
+                rows = []
+                for t, j in enumerate(free):
+                    coords = [0] * n
+                    coords[j] = 1
+                    for piv, row in pivot_rows:
+                        coords[piv] = -row[t] % p
+                    rows.append(packer.pack(coords))
+                checks.append(rows)
+        # (index of the last component taken, state of the subset's checks or
+        # None for a singleton, whose state is built once it is extended, sign)
+        stack = [(i, None, 1) for i in range(len(comps))]
         while stack:
-            i, meet, sign = stack.pop()
-            total += sign * meet.dim
-            if meet.dim:
+            i, state, sign = stack.pop()
+            dim = comps[i].dim if state is None else n - state.rank
+            total += sign * dim
+            if dim:
                 for j in range(i + 1, len(comps)):
                     formed += 1
                     if formed > cap:
                         raise TooManyComponents(
                             f"inclusion-exclusion would form more than {cap} subset meets"
                         )
-                    stack.append((j, meet.intersect(comps[j]), -sign))
+                    if state is None:
+                        state = EchelonState(p, n)
+                        for row in checks[i]:
+                            state.push(row)
+                    child = state.copy()
+                    for row in checks[j]:
+                        child.push(row)
+                    stack.append((j, child, -sign))
     return total
 
 

@@ -4,15 +4,23 @@ Residues are plain ints in [0, p); matrices are immutable row-major tuples.
 Everything here is deterministic: elimination always picks the topmost
 nonzero pivot candidate, so reduced forms are canonical and comparable.
 
-`rref` is the one elimination, at every size and every p.  It packs each row
-into one int, an entry per slot of w bits, with w the bit length of
-rows*(p-1)**2 + p.  A row operation is then one bigint multiply-add, and no
-slot needs reducing mod p between row operations, since none can carry into
-the next: Kronecker substitution with delayed reduction (Dumas, Fousse and
-Salvy, "Simultaneous modular reduction and Kronecker substitution for small
-finite fields", J. Symb. Comput., 2011).  A slot is reduced only where it is
-read: in the pivot search, for a row's factor, for the scaled pivot row, and
-in the result, whose entries are plain residues.
+Elimination lives here alone, in two forms over one packed-row layout.  Each
+row is one int, an entry per slot of w bits, with w the bit length of
+pivots*(p-1)**2 + p for a bound on the pivots that clear it (`_slot_width`).
+A row operation is then one bigint multiply-add, and no slot needs reducing
+mod p between row operations, since none can carry into the next: Kronecker
+substitution with delayed reduction (Dumas, Fousse and Salvy, "Simultaneous
+modular reduction and Kronecker substitution for small finite fields", J.
+Symb. Comput., 2011).  A slot is reduced only where it is read.
+
+* `rref` reduces a whole matrix, at every size and every p: slots are read
+  in the pivot search, for a row's factor, for the scaled pivot row, and in
+  the result, whose entries are plain residues.
+* `EchelonState` takes rows one at a time and says whether each raised the
+  rank; it is copied cheaply, so a search can extend one state along many
+  branches.  `core` uses it for the rank of stacked parity checks in
+  inclusion-exclusion, and for TOTAL dependence up to the first dependent
+  vector.
 
 Entries are checked once, at the public boundary: `FpMatrix(...)` and
 `FpMatrix.from_rows` check the prime, the shape (row and column counts are
@@ -148,6 +156,83 @@ class RrefResult(NamedTuple):
     pivots: tuple[int, ...]
 
 
+def _slot_width(pivots: int, p: int) -> int:
+    """Bits per slot of a packed row that at most `pivots` pivot rows clear.
+
+    A slot starts below p, and clearing one pivot adds (p-f)*L to the row,
+    L with every slot below p, so at most (p-1)**2 to a slot; slots only grow.
+    So a slot stays below pivots*(p-1)**2 + p and never carries into the next.
+    """
+    return (pivots * (p - 1) ** 2 + p).bit_length()
+
+
+class EchelonState:
+    """Independent rows of GF(p)^n, pushed one at a time, held packed.
+
+    A row is one int, entry j in the w-bit slot at bit j*w (`pack`), with w
+    from `_slot_width` for n pivots, as the rank is at most n.  Each row held
+    has a pivot slot equal to 1, zero in every row held after it, and every
+    slot below p.  `push` clears the held pivots from a new row in the order
+    they were taken, one bigint multiply-add each: row k is zero at the
+    pivots of rows 0..k-1, so clearing its pivot keeps theirs clear.  A
+    slot is reduced mod p only where it is read: for a factor, in the search
+    for a new pivot, and in the row kept.  A copy is a copy of two lists of
+    ints, so a state can be extended along many branches.
+    """
+
+    __slots__ = ("p", "n", "_mask", "_shifts", "_rows", "_leads")
+
+    def __init__(self, p: int, n: int):
+        self.p, self.n = p, n
+        w = _slot_width(n, p)
+        self._mask = (1 << w) - 1
+        self._shifts = range(0, n * w, w)
+        self._rows: list[int] = []
+        self._leads: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def pack(self, coords: Sequence[int]) -> int:
+        """The packed row of n residues."""
+        return sum(map(lshift, coords, self._shifts))
+
+    def copy(self) -> EchelonState:
+        other = object.__new__(EchelonState)
+        other.p, other.n, other._mask, other._shifts = self.p, self.n, self._mask, self._shifts
+        other._rows, other._leads = self._rows[:], self._leads[:]
+        return other
+
+    def push(self, row: int) -> bool:
+        """Whether the row, packed from n residues by `pack`, is independent
+        of the rows held; if it is, it is kept, scaled to a pivot 1 and
+        reduced."""
+        rows = self._rows
+        if len(rows) == self.n:
+            return False
+        p, mask = self.p, self._mask
+        for held, s in zip(rows, self._leads):
+            f = (row >> s & mask) % p
+            if f:
+                row += (p - f) * held
+        shifts = self._shifts
+        for c, s in enumerate(shifts):
+            lead = (row >> s & mask) % p
+            if lead:
+                break
+        else:
+            return False
+        # the slots before the pivot are zero mod p, and it becomes 1
+        inv = pow(lead, -1, p)
+        kept = 1 << s
+        for t in shifts[c + 1 :]:
+            kept |= (row >> t & mask) * inv % p << t
+        rows.append(kept)
+        self._leads.append(s)
+        return True
+
+
 def rref(m: FpMatrix) -> RrefResult:
     """Reduced row echelon form over GF(p).
 
@@ -155,18 +240,14 @@ def rref(m: FpMatrix) -> RrefResult:
     makes the output the unique canonical form of the row space.
 
     Each row is held as one int, entry j in the w-bit slot at bit j*w, with
-    w the bit length of rows*(p-1)**2 + p.  A slot starts below p, and each
-    pivot adds at most (p-1)**2 to it: clearing a column adds (p-f)*L to a
-    row, where f is the row's entry in the pivot column and L the pivot row,
-    scaled, with every slot below p.  A pivot row is reset to such an L when
-    it is chosen, and there are at most `rows` pivots, so no slot reaches
-    2**w and carries into the next.  Slots only grow, so none borrows.  A
-    row operation is then one bigint multiply-add, and a slot is reduced mod
-    p only where it is read: in the pivot search, for the factor f, for L,
-    and in the result.
+    w from `_slot_width` for `rows` pivots.  A pivot row is reset to its
+    scaled, reduced form L when it is chosen, and there are at most `rows`
+    pivots, so no slot reaches 2**w.  A row operation is then one bigint
+    multiply-add, and a slot is reduced mod p only where it is read: in the
+    pivot search, for the factor f, for L, and in the result.
     """
     p, nrows, ncols = m.p, m.rows, m.cols
-    w = (nrows * (p - 1) ** 2 + p).bit_length()
+    w = _slot_width(nrows, p)
     mask = (1 << w) - 1
     shifts = range(0, ncols * w, w)
     e = m.entries

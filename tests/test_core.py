@@ -45,6 +45,8 @@ from multispace import (
     zero_vector,
 )
 from multispace import core as core_module
+from multispace.cli import main as cli_main
+from multispace.fp import EchelonState
 from multispace.oracle import _chain_value, _component_sets
 from conftest import (
     brute_axiom_counts,
@@ -304,6 +306,27 @@ class TestLinearlyDependent:
                     break
             assert linearly_dependent(m, vectors) == expected
         assert 30 <= dependent <= 140
+
+    def test_total_stops_at_the_first_dependent_vector(self, monkeypatch):
+        # a repeated second vector decides the list: the 40 vectors after it
+        # are never pushed, and the witness reduces only the first two
+        pushes = [0]
+        push = EchelonState.push
+
+        def counted(self, row):
+            pushes[0] += 1
+            return push(self, row)
+
+        monkeypatch.setattr(EchelonState, "push", counted)
+        rng = random.Random(89)
+        ambient = AmbientId("A", 101, 6)
+        m = MultiVectorSpace((full_subspace(ambient),), TOTAL)
+        v = TaggedVector(ambient, (3, 0, 7, 1, 0, 5))
+        rest = [
+            TaggedVector(ambient, tuple(rng.randrange(101) for _ in range(6))) for _ in range(40)
+        ]
+        assert linearly_dependent(m, [v, v, *rest]) == (True, (100, 1) + (0,) * 40)
+        assert pushes[0] == 2
 
     def test_witness_chain_really_vanishes(self):
         rng = random.Random(31)
@@ -754,16 +777,21 @@ class TestIntersectMultispaces:
         assert len(meet.components) == 1
 
 
-def count_intersections(monkeypatch) -> list[int]:
-    """A one-item list counting the `Subspace.intersect` calls from now on."""
+def count_state_copies(monkeypatch) -> list[int]:
+    """A one-item list counting the `fp.EchelonState.copy` calls from now on.
+
+    Inclusion-exclusion forms each subset past the singletons by copying the
+    state of its parent subset's checks, so this counts the meets it forms
+    beyond the singletons.
+    """
     calls = [0]
-    intersect = Subspace.intersect
+    copy = EchelonState.copy
 
-    def counted(self, other):
+    def counted(self):
         calls[0] += 1
-        return intersect(self, other)
+        return copy(self)
 
-    monkeypatch.setattr(Subspace, "intersect", counted)
+    monkeypatch.setattr(EchelonState, "copy", counted)
     return calls
 
 
@@ -823,18 +851,18 @@ class TestDimInclusionExclusion:
 
     def test_component_cap_counts_the_meets_formed(self, monkeypatch):
         # every meet of copies of one line is that line: the walk forms the 13
-        # singletons and 4,082 intersections, 4,095 meets, and refuses the next
-        calls = count_intersections(monkeypatch)
+        # singletons and 4,082 larger subsets, 4,095 meets, and refuses the next
+        calls = count_state_copies(monkeypatch)
         comps = tuple(line_space(GF2, (1, 0)) for _ in range(13))
         with pytest.raises(TooManyComponents):
             dim_inclusion_exclusion(MultiVectorSpace(comps, TOTAL))
         assert calls[0] == (1 << DEFAULT_SUBSET_CAP) - 1 - 13
 
     def test_fifteen_lines_of_gf2_4(self, monkeypatch):
-        # distinct lines meet in 0, so only the 105 pairs are intersected
+        # distinct lines meet in 0, so only the 105 pairs are formed
         ambient = AmbientId("A", 2, 4)
         lines = [line_space(ambient, v) for v in product((0, 1), repeat=4) if any(v)]
-        calls = count_intersections(monkeypatch)
+        calls = count_state_copies(monkeypatch)
         assert dim_inclusion_exclusion(MultiVectorSpace(tuple(lines), TOTAL)) == 15
         assert calls[0] == 105
 
@@ -859,9 +887,10 @@ class TestDimInclusionExclusion:
             assert dim_inclusion_exclusion(m) == sum(map(brute_inclusion_exclusion, slices))
 
     def test_one_intersection_per_subset_with_a_nonzero_prefix(self, monkeypatch):
-        # a subset of two or more components of one ambient is intersected
-        # exactly when the meet of it without its last component is nonzero
-        calls = count_intersections(monkeypatch)
+        # a subset of two or more components of one ambient is formed, its
+        # parent's state copied once, exactly when the meet of it without its
+        # last component is nonzero
+        calls = count_state_copies(monkeypatch)
         rng = random.Random(1021)
         for _ in range(40):
             ambients = [
@@ -896,6 +925,115 @@ class TestDimInclusionExclusion:
                 comps.append(span(ambient, FpMatrix(ambient.p, g, ambient.n, entries)))
             m = MultiVectorSpace(tuple(comps), rng.choice([TOTAL, CLOSED]))
             assert dim_inclusion_exclusion(m) == brute_inclusion_exclusion(m)
+
+    def test_answers_with_intersect_refused(self, monkeypatch, tmp_path, capsys):
+        # the meets' dimensions come from their stacked checks, so no meet is
+        # formed as a subspace: the values and `dim --policy TOTAL` still answer
+        rng = random.Random(1031)
+        spaces = []
+        for _ in range(40):
+            ambient = AmbientId("A", rng.choice([2, 3]), rng.randint(1, 4))
+            comps = tuple(random_subspace(rng, ambient) for _ in range(rng.randint(1, 6)))
+            spaces.append(MultiVectorSpace(comps, rng.choice([TOTAL, CLOSED])))
+        expected = [brute_inclusion_exclusion(m) for m in spaces]
+
+        def refused(self, other):
+            raise AssertionError("Subspace.intersect called")
+
+        monkeypatch.setattr(Subspace, "intersect", refused)
+        assert [dim_inclusion_exclusion(m) for m in spaces] == expected
+        # the three coordinate planes of GF(2)^3: 2 + 2 + 2 - 1 - 1 - 1 + 0
+        path = tmp_path / "planes.ms"
+        path.write_text(
+            "policy CLOSED\nambient A p=2 n=3\n"
+            "space V1 in A gen 0,1,0; 0,0,1\n"
+            "space V2 in A gen 1,0,0; 0,0,1\n"
+            "space V3 in A gen 1,0,0; 0,1,0\n"
+        )
+        assert cli_main(["dim", "--policy", "TOTAL", str(path)]) == 0
+        assert capsys.readouterr().out == "greedy=3 inclusion-exclusion=3 agree=yes\n"
+
+
+def pooled_components(rng: random.Random, ambient: AmbientId, k: int) -> list[Subspace]:
+    """k components, each the span of n/2 to n vectors drawn from one pool of
+    n + 2 random vectors, so that meets of several components are often
+    nonzero."""
+    n, p = ambient.n, ambient.p
+    pool = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(n + 2)]
+    return [
+        span(ambient, FpMatrix.from_rows(p, rng.sample(pool, rng.randint(n // 2, n)), cols=n))
+        for _ in range(k)
+    ]
+
+
+def random_invertible(rng: random.Random, p: int, n: int) -> list[tuple[int, ...]]:
+    while True:
+        g = FpMatrix(p, n, n, tuple(rng.randrange(p) for _ in range(n * n)))
+        if rref(g).rank == n:
+            return g.row_list()
+
+
+def mapped(comp: Subspace, g: list[tuple[int, ...]]) -> Subspace:
+    """The image of a component under x -> x @ g."""
+    p, n = comp.ambient.p, comp.ambient.n
+    rows = [
+        tuple(sum(x * g[t][j] for t, x in enumerate(row) if x) % p for j in range(n))
+        for row in comp.rows()
+    ]
+    return span(comp.ambient, FpMatrix.from_rows(p, rows, cols=n))
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+class TestInclusionExclusionRelations:
+    """Relations that leave `dim_inclusion_exclusion` unchanged, checked at
+    primes and sizes no enumerating oracle reaches (n up to 24).  Each value
+    is taken under both policies, which must agree, as the alternating sum
+    depends only on the components."""
+
+    DRAWS = 10
+
+    def draws(self, p: int, seed: int):
+        rng = random.Random(seed * 1_000_003 + p)
+        for _ in range(self.DRAWS):
+            ambient = AmbientId("A", p, rng.randint(2, 24))
+            yield rng, ambient, pooled_components(rng, ambient, rng.randint(2, 6))
+
+    @staticmethod
+    def value(comps) -> int:
+        values = {
+            dim_inclusion_exclusion(MultiVectorSpace(tuple(comps), policy))
+            for policy in (TOTAL, CLOSED)
+        }
+        assert len(values) == 1
+        return values.pop()
+
+    def test_invariant_under_an_invertible_map(self, p):
+        for rng, ambient, comps in self.draws(p, 1):
+            g = random_invertible(rng, p, ambient.n)
+            assert self.value([mapped(c, g) for c in comps]) == self.value(comps)
+
+    def test_invariant_under_permuting_the_components(self, p):
+        for rng, _, comps in self.draws(p, 2):
+            assert self.value(rng.sample(comps, len(comps))) == self.value(comps)
+
+    def test_two_ambients_add(self, p):
+        for rng, ambient, comps in self.draws(p, 3):
+            other = AmbientId("B", p, rng.randint(2, 24))
+            more = pooled_components(rng, other, rng.randint(1, 5))
+            both = comps + more
+            rng.shuffle(both)
+            assert self.value(both) == self.value(comps) + self.value(more)
+
+    def test_invariant_under_adding_a_subspace_of_a_component(self, p):
+        # the subsets holding the new D and a component C that holds it pair
+        # off with those holding D and not C: same meet, opposite signs.  A
+        # walk that adds every meet with one sign fails this relation, while
+        # the three above hold for it too
+        for rng, ambient, comps in self.draws(p, 4):
+            rows = rng.sample(comps[0].rows(), rng.randint(1, comps[0].dim))
+            more = comps + [span(ambient, FpMatrix.from_rows(p, rows, cols=ambient.n))]
+            rng.shuffle(more)
+            assert self.value(more) == self.value(comps)
 
 
 class TestAdditiveFormula:

@@ -25,6 +25,7 @@ from multispace import (
     solve_membership,
     validate_axioms,
 )
+from multispace.fp import EchelonState
 from conftest import reference_rref
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -421,6 +422,51 @@ class TestPackedRref:
     @pytest.mark.parametrize("m", list(LARGE_MATRICES.values()), ids=list(LARGE_MATRICES))
     def test_equals_reference_at_large_shapes(self, m):
         assert rref(m) == reference_rref(m)
+
+
+def transposed(m: FpMatrix) -> FpMatrix:
+    return FpMatrix.from_rows(m.p, list(zip(*m.row_list())), cols=m.rows)
+
+
+class TestEchelonState:
+    """`EchelonState` fed a matrix's rows one at a time, against
+    `reference_rref`.  Its rank and pivot columns are the reference's (rows
+    with distinct leading columns, as many as the rank, lead exactly at the
+    row space's pivots), and it keeps a row exactly when the row is
+    independent of those before it: when its column is a pivot of the
+    transposed matrix.  Each row held has its pivot slot 1, zero in the rows
+    held after it, and every slot below p."""
+
+    @staticmethod
+    def check(m: FpMatrix):
+        state = EchelonState(m.p, m.cols)
+        rows = [state.pack(row) for row in m.row_list()]
+        half = len(rows) // 2
+        kept = [state.push(row) for row in rows[:half]]
+        branch = state.copy()
+        kept += [branch.push(row) for row in rows[half:]]
+        assert state.rank == sum(kept[:half])
+        assert [state.push(row) for row in rows[half:]] == kept[half:]
+        reference = reference_rref(m)
+        assert state.rank == branch.rank == reference.rank
+        shifts = list(state._shifts)
+        columns = [shifts.index(s) for s in state._leads]
+        assert sorted(columns) == list(reference.pivots)
+        assert [i for i, k in enumerate(kept) if k] == list(reference_rref(transposed(m)).pivots)
+        mask = state._mask
+        for k, row in enumerate(state._rows):
+            slots = [row >> s & mask for s in shifts]
+            assert all(x < m.p for x in slots) and slots[columns[k]] == 1
+            assert all(slots[c] == 0 for c in columns[:k])
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_matrices())
+    def test_equals_reference(self, m):
+        self.check(m)
+
+    @pytest.mark.parametrize("m", list(LARGE_MATRICES.values()), ids=list(LARGE_MATRICES))
+    def test_equals_reference_at_large_shapes(self, m):
+        self.check(m)
 
 
 class TestSolveMembership:
