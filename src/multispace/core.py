@@ -32,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import lshift
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -241,6 +242,43 @@ def _column_rref(vectors: list[TaggedVector], order: Sequence[int]) -> RrefResul
     return rref(_trusted(ambient.p, ambient.n, len(columns), entries))
 
 
+class _PackedSlots:
+    """Vectors of GF(p)^n held one int each, summed without a per-entry `% p`.
+
+    Entry j sits in the w-bit slot at bit j*w, with w = (p-1).bit_length() + 1,
+    so p <= 2**(w-1).  Two packed vectors of residues sum slot by slot with
+    every slot in [0, 2p-2], below 2**w, so no slot carries into the next.
+    `add` then takes p off each slot that reached p, all at once: `bias`
+    holds 2**(w-1) - p in every slot and `high` bit w-1 of every slot, and a
+    slot plus the bias has its top bit set exactly when the slot is at least
+    p, and carries out of no slot, as 2p-2 + 2**(w-1) - p < 2**w.  So the
+    sum is again a packed vector of residues, and it is zero exactly when
+    the int is.
+    """
+
+    __slots__ = ("p", "top", "bias", "high", "_mask", "_shifts")
+
+    def __init__(self, p: int, n: int):
+        w = (p - 1).bit_length() + 1
+        self._shifts = range(0, n * w, w)
+        ones = sum(1 << s for s in self._shifts)
+        self.p, self.top, self._mask = p, w - 1, (1 << w) - 1
+        self.bias = ((1 << (w - 1)) - p) * ones
+        self.high = (1 << (w - 1)) * ones
+
+    def pack(self, coords: Sequence[int]) -> int:
+        return sum(map(lshift, coords, self._shifts))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        mask = self._mask
+        return tuple(packed >> s & mask for s in self._shifts)
+
+    def add(self, a: int, b: int) -> int:
+        """The packed sum mod p of two packed vectors of residues."""
+        s = a + b
+        return s - ((s + self.bias & self.high) >> self.top) * self.p
+
+
 class _ChainSearch:
     """Lexicographic depth-first search over CLOSED chain states of a list.
 
@@ -249,7 +287,19 @@ class _ChainSearch:
     coefficient came before).  Coefficients are tried in order 0..p-1 and a
     state whose subtree held no witness is not entered again, so the first
     witness found is the lexicographically first tuple.  The walk keeps its
-    own stack, as a list may be far longer than the recursion limit.
+    own stack of states, one per position of the list, with the coefficient
+    tried at each, as a list may be far longer than the recursion limit.
+
+    An accumulator is one int (`_PackedSlots`): entry j in the w-bit slot at
+    bit j*w, with w = (p-1).bit_length() + 1, and `_scaled[k][c]` is the
+    packed c*v_k.  A step adds the two; each slot of the sum is at most
+    2p-2 < 2**w, so none carries into the next, and one correction takes p
+    off every slot that reached p, found by the top bits of the sum plus
+    2**(w-1) - p per slot, which cannot carry either.  A chain ends at zero
+    exactly when its accumulator is 0.  A state is (list index,
+    accumulator, seen), three ints.  Which components hold an accumulator
+    is cached per search by its packed int, and only a miss unpacks it for
+    `_Membership`.
 
     One search serves every sublist of its list: a chain over a sublist is a
     chain over the list with coefficient 0 on the left-out vectors, which
@@ -267,10 +317,17 @@ class _ChainSearch:
             raise SearchTooLarge(f"{steps} chain-state steps exceed the cap of {_SEARCH_STEP_CAP}")
         self._ambient = ambient
         self._idx = _Membership(space)
+        self._slots = slots = _PackedSlots(p, ambient.n)
         # c*v lies in the components holding v for c != 0, and 0*v in all of them
         self._masks = [self._idx.mask(ambient, v.coords) for v in vectors]
-        self._scaled = [[tuple((c * x) % p for x in v.coords) for c in range(p)] for v in vectors]
-        self._failed: set[tuple[int, tuple[int, ...], bool]] = set()
+        self._scaled = []
+        for v in vectors:
+            row = [0, slots.pack(v.coords)]
+            for _ in range(2, p):
+                row.append(slots.add(row[-1], row[1]))
+            self._scaled.append(row)
+        self._acc_masks: dict[int, int] = {}
+        self._failed: set[tuple[int, int, int]] = set()
 
     def first_witness(self, alive: Sequence[int]) -> tuple[int, ...] | None:
         """The lexicographically first witness over the vectors at the list
@@ -278,35 +335,51 @@ class _ChainSearch:
         masks, scaled, failed = self._masks, self._scaled, self._failed
         if not all(masks[k] for k in alive):
             return None
-        ambient, mask = self._ambient, self._idx.mask
-        p, end = ambient.p, len(masks)
-        following = dict(zip(alive, [*alive[1:], end]))
-
-        def children(k: int, acc: tuple[int, ...], seen: bool):
-            after = following[k]
-            yield 0, (after, acc, seen)
-            if mask(ambient, acc) & masks[k]:
-                row = scaled[k]
-                for c in range(1, p):
-                    yield c, (after, tuple((a + b) % p for a, b in zip(acc, row[c])), True)
-
-        root = (alive[0], (0,) * ambient.n, False)
-        coeffs = [0] * end
-        path = [(root, children(*root))]
-        while path:
-            state, kids = path[-1]
-            step = next(kids, None)
-            if step is None:
+        slots, acc_masks = self._slots, self._acc_masks
+        p, bias, high, top = slots.p, slots.bias, slots.high, slots.top
+        keys = list(alive)
+        last = len(keys) - 1
+        # states[i] is the state before position i of `alive`, and coeffs[i]
+        # the coefficient tried there
+        coeffs = [0] * len(keys)
+        state = (keys[0], 0, 0)
+        states = [state]
+        i = c = 0
+        while True:
+            k, acc, seen = state
+            if c == 1:
+                held = acc_masks.get(acc)
+                if held is None:
+                    held = acc_masks[acc] = self._idx.mask(self._ambient, slots.unpack(acc))
+                if not held & masks[k]:
+                    c = p
+            if c == p:
                 failed.add(state)
-                path.pop()
+                states.pop()
+                if not states:
+                    return None
+                i -= 1
+                state = states[-1]
+                c = coeffs[i] + 1
                 continue
-            coeffs[state[0]], nxt = step
-            if nxt[0] == end:
-                if nxt[2] and not any(nxt[1]):
-                    return tuple(coeffs[k] for k in alive)
-            elif nxt not in failed:
-                path.append((nxt, children(*nxt)))
-        return None
+            if c:
+                acc += scaled[k][c]
+                acc -= ((acc + bias & high) >> top) * p
+                seen = 1
+            coeffs[i] = c
+            if i == last:
+                if seen and not acc:
+                    return tuple(coeffs)
+                c += 1
+                continue
+            nxt = (keys[i + 1], acc, seen)
+            if nxt in failed:
+                c += 1
+                continue
+            states.append(nxt)
+            state = nxt
+            i += 1
+            c = 0
 
 
 def linearly_dependent(

@@ -28,10 +28,12 @@ ints, not bools), that the entries are a tuple, and every entry, which must be
 an int (a bool is not) in [0, p).  `FpScalar`, `solve_membership`,
 `subspace.Subspace.contains` and `core.TaggedVector` hold their entries to the
 same test, `_residues`.  Matrices whose entries are residues by construction
-(the `rref` result, the bases that `subspace` builds from reduced rows, and
-the matrices that `core` builds from checked vectors, a slice's members in
+(the `rref` result, the bases that `subspace` builds from reduced rows, the
+matrices that `core` builds from checked vectors, a slice's members in
 `is_multi_subspace` and the columns of the TOTAL dependence and greedy-basis
-reductions) are built through `_trusted`, which skips those checks.
+reductions, and the generator matrices of `search.random_instance`, whose
+entries are drawn from `randrange(p)`) are built through `_trusted`, which
+skips those checks.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from .core import (
     dim_inclusion_exclusion,
 )
 from .errors import CapExceeded, MultispaceError
-from .fp import FpMatrix, _check_int, check_prime
+from .fp import FpMatrix, _check_int, _trusted, check_prime
 from .subspace import AmbientId, span
 
 _AMBIENT_LABELS = "ABCDEFGH"
@@ -70,7 +70,9 @@ def random_instance(cfg: GeneratorConfig, draw: int) -> MultiVectorSpace:
     Generator matrices get their row counts drawn uniformly in
     [0, max_ambient_dim]; duplicate components are allowed on purpose.  Every
     used ambient ends up with at least one nonzero component, since an
-    ambient carrying only zero spaces has a union no chain can reach.
+    ambient carrying only zero spaces has a union no chain can reach.  The
+    entries are drawn from `randrange(p)`, residues by construction, so the
+    matrices are built through `fp._trusted`.
     """
     rng = random.Random(f"{cfg.seed}:{draw}")
     n_ambients = rng.randint(1, cfg.max_ambients)
@@ -88,14 +90,12 @@ def random_instance(cfg: GeneratorConfig, draw: int) -> MultiVectorSpace:
         ambient = rng.choice(ambients)
         g = rng.randint(0, cfg.max_ambient_dim)
         entries = tuple(rng.randrange(ambient.p) for _ in range(g * ambient.n))
-        components.append(span(ambient, FpMatrix(ambient.p, g, ambient.n, entries)))
+        components.append(span(ambient, _trusted(ambient.p, g, ambient.n, entries)))
     for ambient in dict.fromkeys(c.ambient for c in components):
         slots = [i for i, c in enumerate(components) if c.ambient == ambient]
         if all(components[i].dim == 0 for i in slots):
             row = _random_nonzero_row(rng, ambient)
-            components[slots[0]] = span(
-                ambient, FpMatrix(ambient.p, 1, ambient.n, row)
-            )
+            components[slots[0]] = span(ambient, _trusted(ambient.p, 1, ambient.n, row))
     return MultiVectorSpace(tuple(components), cfg.policy)
 
 

@@ -59,6 +59,117 @@ def reference_rref(m: FpMatrix) -> RrefResult:
     return RrefResult(FpMatrix(p, m.rows, m.cols, flat), r, tuple(pivots))
 
 
+class RankMembership:
+    """Which components of one ambient hold a coordinate tuple, by rank.
+
+    Bit i of `mask(coords)` is set when the i-th component of the ambient
+    holds the vector: stacking it under the component's basis rows leaves
+    the rank of `reference_rref` unchanged.  Masks are cached by coordinates.
+    """
+
+    def __init__(self, space: MultiVectorSpace, ambient: AmbientId):
+        self.ambient = ambient
+        self._bases = [c.rows() for c in space.components if c.ambient == ambient]
+        self._masks: dict[tuple[int, ...], int] = {}
+
+    def mask(self, coords: tuple[int, ...]) -> int:
+        bits = self._masks.get(coords)
+        if bits is None:
+            p, n = self.ambient.p, self.ambient.n
+            bits = 0
+            for i, rows in enumerate(self._bases):
+                stacked = FpMatrix.from_rows(p, [*rows, coords], cols=n)
+                if reference_rref(stacked).rank == len(rows):
+                    bits |= 1 << i
+            self._masks[coords] = bits
+        return bits
+
+
+def closed_chain_value(
+    space: MultiVectorSpace, coeffs: tuple[int, ...], vectors: list[TaggedVector]
+) -> tuple[int, ...] | None:
+    """The CLOSED chain sum of c_i*v_i, left to right, as a coordinate tuple,
+    or None at its first undefined step.
+
+    A scalar multiple c*v exists when some component holds v, and a sum
+    when some component holds both operands; no operation crosses ambients.
+    Membership is by rank (`RankMembership`), so nothing here shares code
+    with the library's chain evaluation.
+    """
+    ambient = vectors[0].ambient
+    if any(v.ambient != ambient for v in vectors):
+        return None
+    p = ambient.p
+    holds = RankMembership(space, ambient).mask
+    acc = None
+    for c, v in zip(coeffs, vectors, strict=True):
+        if not holds(v.coords):
+            return None
+        value = tuple(c * x % p for x in v.coords)
+        if acc is not None:
+            if not holds(acc) & holds(value):
+                return None
+            value = tuple((a + b) % p for a, b in zip(acc, value))
+        acc = value
+    return acc
+
+
+class ReferenceChainSearch:
+    """Reference CLOSED chain-state search, on coordinate tuples.
+
+    The same walk as the library's search: depth first, coefficients tried
+    in order 0..p-1, a state (list index, accumulator, seen) that held no
+    witness is added to `failed` and not entered again, and `failed` is
+    kept across calls.  Each state's children come from a generator and
+    each accumulator is a tuple reduced mod p entry by entry.  Membership is
+    by rank (`RankMembership`), and there is no step cap.  The library's
+    search, whose accumulators are packed ints, must return the same
+    witnesses and keep the same failed states.
+    """
+
+    def __init__(self, space: MultiVectorSpace, vectors: list[TaggedVector]):
+        ambient = vectors[0].ambient
+        p = ambient.p
+        self._ambient = ambient
+        self._holds = RankMembership(space, ambient).mask
+        self._masks = [self._holds(v.coords) for v in vectors]
+        self._scaled = [[tuple(c * x % p for x in v.coords) for c in range(p)] for v in vectors]
+        self.failed: set[tuple[int, tuple[int, ...], bool]] = set()
+
+    def first_witness(self, alive) -> tuple[int, ...] | None:
+        masks, scaled, failed, holds = self._masks, self._scaled, self.failed, self._holds
+        if not all(masks[k] for k in alive):
+            return None
+        p, end = self._ambient.p, len(masks)
+        following = dict(zip(alive, [*alive[1:], end]))
+
+        def children(k, acc, seen):
+            after = following[k]
+            yield 0, (after, acc, seen)
+            if holds(acc) & masks[k]:
+                row = scaled[k]
+                for c in range(1, p):
+                    yield c, (after, tuple((a + b) % p for a, b in zip(acc, row[c])), True)
+
+        root = (alive[0], (0,) * self._ambient.n, False)
+        coeffs = [0] * end
+        path = [(root, children(*root))]
+        while path:
+            state, kids = path[-1]
+            step = next(kids, None)
+            if step is None:
+                failed.add(state)
+                path.pop()
+                continue
+            coeffs[state[0]], nxt = step
+            if nxt[0] == end:
+                if nxt[2] and not any(nxt[1]):
+                    return tuple(coeffs[k] for k in alive)
+            elif nxt not in failed:
+                path.append((nxt, children(*nxt)))
+        return None
+
+
 def zassenhaus(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
     """Reference sum and intersection from Zassenhaus's stacked reduction.
 

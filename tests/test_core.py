@@ -49,8 +49,10 @@ from multispace.cli import main as cli_main
 from multispace.fp import EchelonState
 from multispace.oracle import _chain_value, _component_sets
 from conftest import (
+    ReferenceChainSearch,
     brute_axiom_counts,
     brute_inclusion_exclusion,
+    closed_chain_value,
     group_semantics_cases,
     kruskal_basis,
     line_space,
@@ -649,6 +651,138 @@ class TestGreedyBasis:
             for comp in m.components[1:]:
                 total = total.sum(comp)
             assert dim_greedy(m) == total.dim
+
+
+class TestPackedSlots:
+    @pytest.mark.parametrize("p", [2, 3, 5, 101, 2**31 - 1])
+    def test_add_is_the_sum_mod_p_in_every_slot(self, p):
+        # the chain search adds packed accumulators, but its step cap refuses
+        # every list at p = 2^31-1, so the step is checked here on its own,
+        # with the slots that sum to 0, p-1, p and 2p-2 among those drawn
+        n = 6
+        slots = core_module._PackedSlots(p, n)
+        edges = sorted({0, 1, p // 2, p - 2, p - 1})
+        pairs = [((x,) * n, (y,) * n) for x in edges for y in edges]
+        rng = random.Random(p)
+
+        def draw():
+            return tuple(
+                rng.choice(edges) if rng.random() < 0.6 else rng.randrange(p) for _ in range(n)
+            )
+
+        pairs += [(draw(), draw()) for _ in range(300)]
+        for a, b in pairs:
+            expected = tuple((x + y) % p for x, y in zip(a, b))
+            total = slots.add(slots.pack(a), slots.pack(b))
+            assert total == slots.pack(expected)
+            assert slots.unpack(total) == expected
+            assert (total == 0) == (not any(expected))
+
+
+def packed_coords(acc: int, p: int, n: int) -> tuple[int, ...]:
+    """The residues of a packed accumulator: entry j in the w-bit slot at
+    bit j*w, with w = (p-1).bit_length() + 1."""
+    w = (p - 1).bit_length() + 1
+    return tuple(acc >> (j * w) & ((1 << w) - 1) for j in range(n))
+
+
+def chain_search_list(rng: random.Random, p: int) -> tuple[MultiVectorSpace, list[TaggedVector]]:
+    """A one-ambient CLOSED instance at p and a shuffled list of union members:
+    each stacked basis row once, as itself, its negative (entry p-1 at the
+    pivot) or a random multiple, plus a few more multiples.  Above p = 7 the
+    components are lines and the lists short, so the search stays under its
+    step cap: at p = 1009 a list has two vectors."""
+    ambient = AmbientId("A", p, rng.randint(1, 3))
+    max_gens = None if p <= 7 else 1
+    comps = [random_subspace(rng, ambient, max_gens) for _ in range(rng.randint(1, 4))]
+    while all(c.dim == 0 for c in comps):
+        comps[0] = random_subspace(rng, ambient, max_gens)
+    m = MultiVectorSpace(tuple(comps), CLOSED)
+    rows = [v.coords for v in component_basis_vectors(m)]
+    picks = [rng.choice([1, p - 1, rng.randrange(1, p)]) for _ in rows]
+    picks += [rng.randrange(1, p) for _ in range(rng.randint(1, 4))]
+    rows += [rng.choice(rows) for _ in range(len(picks) - len(rows))]
+    vectors = [TaggedVector(ambient, tuple(c * x % p for x in r)) for c, r in zip(picks, rows)]
+    rng.shuffle(vectors)
+    return m, vectors[: {101: 4, 1009: 2}.get(p, 9)]
+
+
+class TestPackedChainSearch:
+    @pytest.mark.parametrize(
+        "p, lists", [(2, 150), (3, 150), (5, 100), (7, 100), (101, 40), (1009, 30)]
+    )
+    def test_matches_the_reference_search(self, p, lists):
+        # witness for witness, and the same failed states after every call,
+        # along removal sequences that shrink the alive positions as the
+        # greedy loop does
+        rng = random.Random(1300 + p)
+        witnesses = 0
+        for _ in range(lists):
+            m, vectors = chain_search_list(rng, p)
+            search = core_module._ChainSearch(m, vectors)
+            reference = ReferenceChainSearch(m, vectors)
+            n = vectors[0].ambient.n
+            alive = list(range(len(vectors)))
+            while True:
+                witness = search.first_witness(alive)
+                assert witness == reference.first_witness(alive)
+                failed = {
+                    (k, packed_coords(acc, p, n), bool(seen)) for k, acc, seen in search._failed
+                }
+                assert len(failed) == len(search._failed)
+                assert failed == reference.failed
+                if witness is None:
+                    break
+                witnesses += 1
+                alive.remove(rng.choice([k for k, c in zip(alive, witness) if c]))
+        assert witnesses >= lists // 2
+
+
+class TestClosedWitnessChecks:
+    """At p = 7 and 101 most lists have too many coefficient tuples for the
+    oracle, so each CLOSED witness is checked by `closed_chain_value`, which
+    shares no code with `core`: its chain is defined, ends at zero and has a
+    nonzero coefficient.  That the witness is the lexicographically first
+    such tuple cannot be checked here, as it would take enumerating the
+    tuples before it."""
+
+    @pytest.mark.parametrize("p", [7, 101])
+    def test_every_witness_is_a_defined_zero_chain(self, p, monkeypatch):
+        calls = []
+
+        class RecordingSearch(core_module._ChainSearch):
+            def __init__(self, space, vectors):
+                super().__init__(space, vectors)
+                self.vectors = vectors
+
+            def first_witness(self, alive):
+                witness = super().first_witness(alive)
+                calls.append(([self.vectors[k] for k in alive], witness))
+                return witness
+
+        monkeypatch.setattr(core_module, "_ChainSearch", RecordingSearch)
+        rng = random.Random(1400 + p)
+        checked = 0
+        for _ in range(40):
+            m = random_one_ambient_instance(rng, CLOSED, primes=(p,), max_dim=3)
+            union = [v.coords for v in component_basis_vectors(m)]
+            ambient = m.components[0].ambient
+            vectors = [
+                TaggedVector(ambient, tuple(rng.randrange(1, p) * x % p for x in rng.choice(union)))
+                for _ in range(rng.randint(2, 5))
+            ]
+            calls.clear()
+            for run in (lambda: linearly_dependent(m, vectors), lambda: greedy_basis(m)):
+                try:
+                    run()
+                except SearchTooLarge:
+                    pass  # the step cap refuses some lists of planes at p = 101
+            for listed, witness in calls:
+                if witness is not None:
+                    assert any(witness)
+                    assert closed_chain_value(m, witness, listed) == (0,) * ambient.n
+                    checked += 1
+        assert checked >= 20
 
 
 class TestBasisInvariance:
