@@ -19,6 +19,8 @@ Both policies state one rule: alpha*a + b exists exactly when a and b share an
 operation group, their ambient under TOTAL and a component under CLOSED.
 `_Membership` says which groups hold a vector, by the components' parity
 checks read off their reduced bases, so no component is enumerated for it.
+The CLOSED chain search carries those checks' values in its packed states
+instead, so a state's components are read off its int (`_ChainSearch`).
 
 As every group lies in one ambient, inside this module a vector is its
 ambient and its coordinate tuple: chain steps run on the tuples, and a
@@ -253,25 +255,22 @@ class _PackedSlots:
     slot plus the bias has its top bit set exactly when the slot is at least
     p, and carries out of no slot, as 2p-2 + 2**(w-1) - p < 2**w.  So the
     sum is again a packed vector of residues, and it is zero exactly when
-    the int is.
+    the int is.  `_ChainSearch` packs a vector of GF(p)^n followed by its
+    parity-check values, n + (number of checks) slots of the same width.
     """
 
-    __slots__ = ("p", "top", "bias", "high", "_mask", "_shifts")
+    __slots__ = ("p", "top", "bias", "high", "_shifts")
 
     def __init__(self, p: int, n: int):
         w = (p - 1).bit_length() + 1
         self._shifts = range(0, n * w, w)
         ones = sum(1 << s for s in self._shifts)
-        self.p, self.top, self._mask = p, w - 1, (1 << w) - 1
+        self.p, self.top = p, w - 1
         self.bias = ((1 << (w - 1)) - p) * ones
         self.high = (1 << (w - 1)) * ones
 
     def pack(self, coords: Sequence[int]) -> int:
         return sum(map(lshift, coords, self._shifts))
-
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        mask = self._mask
-        return tuple(packed >> s & mask for s in self._shifts)
 
     def add(self, a: int, b: int) -> int:
         """The packed sum mod p of two packed vectors of residues."""
@@ -290,16 +289,25 @@ class _ChainSearch:
     own stack of states, one per position of the list, with the coefficient
     tried at each, as a list may be far longer than the recursion limit.
 
-    An accumulator is one int (`_PackedSlots`): entry j in the w-bit slot at
-    bit j*w, with w = (p-1).bit_length() + 1, and `_scaled[k][c]` is the
-    packed c*v_k.  A step adds the two; each slot of the sum is at most
+    An accumulator x is one int (`_PackedSlots`) of w-bit slots, with
+    w = (p-1).bit_length() + 1: slots 0..n-1 hold x itself, entry j at bit
+    j*w, and after them come the values at x of every parity check of every
+    component of the ambient (`subspace._parity_checks`), in component
+    order, one slot each.  `_scaled[k][c]` is the packed c*v_k with its
+    checks.  A step adds the two; each slot of the sum is at most
     2p-2 < 2**w, so none carries into the next, and one correction takes p
     off every slot that reached p, found by the top bits of the sum plus
-    2**(w-1) - p per slot, which cannot carry either.  A chain ends at zero
-    exactly when its accumulator is 0.  A state is (list index,
-    accumulator, seen), three ints.  Which components hold an accumulator
-    is cached per search by its packed int, and only a miss unpacks it for
-    `_Membership`.
+    2**(w-1) - p per slot, which cannot carry either.  The checks are
+    linear, so the same add keeps them equal to the checks of the new
+    accumulator, and the int is 0 exactly when the accumulator is: a chain
+    ends at zero when it is 0.  A state is (list index, packed int, seen),
+    three ints.
+
+    The checks ride along so that membership needs no unpacking: component
+    i holds x exactly when its checks all vanish at x, that is when
+    `x & _fields[i]` is 0, where the field has every bit of the component's
+    check slots set (0 for a full component, which has no checks).  Which
+    components hold an accumulator is cached per search by its packed int.
 
     One search serves every sublist of its list: a chain over a sublist is a
     chain over the list with coefficient 0 on the left-out vectors, which
@@ -310,24 +318,62 @@ class _ChainSearch:
 
     def __init__(self, space: MultiVectorSpace, vectors: list[TaggedVector]):
         ambient = vectors[0].ambient
-        p, m = ambient.p, len(vectors)
-        union_bound = sum(p**c.dim for c in space.components_in(ambient))
+        p, n, m = ambient.p, ambient.n, len(vectors)
+        comps = space.components_in(ambient)
+        union_bound = sum(p**c.dim for c in comps)
         steps = p * sum(min(p**i, union_bound) for i in range(m))
         if steps > _SEARCH_STEP_CAP:
             raise SearchTooLarge(f"{steps} chain-state steps exceed the cap of {_SEARCH_STEP_CAP}")
-        self._ambient = ambient
-        self._idx = _Membership(space)
-        self._slots = slots = _PackedSlots(p, ambient.n)
-        # c*v lies in the components holding v for c != 0, and 0*v in all of them
-        self._masks = [self._idx.mask(ambient, v.coords) for v in vectors]
+        checks = [_parity_checks(c) for c in comps]
+        size = n + sum(len(free) for free, _ in checks)
+        self._slots = slots = _PackedSlots(p, size)
+        # columns[j] is e_j followed by the values at e_j of the checks: the
+        # check of a component on non-pivot column j of its basis is
+        # x[j] - sum_r basis[r][j] * x[pivot_r], so it is 1 at e_j and
+        # -basis[r][j] at e_{pivot_r}; `_fields` holds (bit i, every bit of
+        # the check slots of component i)
+        columns = [[0] * size for _ in range(n)]
+        for j in range(n):
+            columns[j][j] = 1
+        w = slots.top + 1
+        self._fields = []
+        start = n
+        for i, (free, pivot_rows) in enumerate(checks):
+            for t, j in enumerate(free):
+                columns[j][start + t] = 1
+                for piv, row in pivot_rows:
+                    columns[piv][start + t] = -row[t] % p
+            stop = start + len(free)
+            self._fields.append((1 << i, (1 << stop * w) - (1 << start * w)))
+            start = stop
+        # terms[j, x] is the packed x*e_j with its checks, for each (j, x)
+        # that some vector has, and v with its checks is the sum of its terms
+        terms: dict[tuple[int, int], int] = {}
         self._scaled = []
         for v in vectors:
-            row = [0, slots.pack(v.coords)]
+            packed = 0
+            for j, x in enumerate(v.coords):
+                if x:
+                    term = terms.get((j, x))
+                    if term is None:
+                        term = terms[j, x] = slots.pack([x * e % p for e in columns[j]])
+                    packed = slots.add(packed, term)
+            row = [0, packed]
             for _ in range(2, p):
-                row.append(slots.add(row[-1], row[1]))
+                row.append(slots.add(row[-1], packed))
             self._scaled.append(row)
+        # c*v lies in the components holding v for c != 0, and 0*v in all of them
+        self._masks = [self._held(row[1]) for row in self._scaled]
         self._acc_masks: dict[int, int] = {}
         self._failed: set[tuple[int, int, int]] = set()
+
+    def _held(self, x: int) -> int:
+        """The bitmask of the ambient's components holding the packed vector x."""
+        held = 0
+        for bit, field in self._fields:
+            if not x & field:
+                held |= bit
+        return held
 
     def first_witness(self, alive: Sequence[int]) -> tuple[int, ...] | None:
         """The lexicographically first witness over the vectors at the list
@@ -350,7 +396,7 @@ class _ChainSearch:
             if c == 1:
                 held = acc_masks.get(acc)
                 if held is None:
-                    held = acc_masks[acc] = self._idx.mask(self._ambient, slots.unpack(acc))
+                    held = acc_masks[acc] = self._held(acc)
                 if not held & masks[k]:
                     c = p
             if c == p:
@@ -472,10 +518,22 @@ def linear_span(
 
 
 def component_basis_vectors(space: MultiVectorSpace) -> list[TaggedVector]:
-    """Canonical basis rows of every component, in component then row order."""
+    """Canonical basis rows of every component, in component then row order.
+
+    The rows of a reduced basis are residue tuples of the ambient's length,
+    so the vectors are built through `_trusted_vector`."""
     return [
-        TaggedVector(comp.ambient, row) for comp in space.components for row in comp.rows()
+        _trusted_vector(comp.ambient, row) for comp in space.components for row in comp.rows()
     ]
+
+
+def _trusted_vector(ambient: AmbientId, coords: tuple[int, ...]) -> TaggedVector:
+    """A TaggedVector over a tuple of n residues mod p, built without the
+    checks in `TaggedVector.__post_init__`."""
+    v = object.__new__(TaggedVector)
+    object.__setattr__(v, "ambient", ambient)
+    object.__setattr__(v, "coords", coords)
+    return v
 
 
 def greedy_basis(

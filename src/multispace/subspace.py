@@ -3,11 +3,11 @@
 A subspace is stored as its reduced-echelon basis, so equality of subspaces
 is plain equality of matrices.  The sum is the span of both bases stacked.
 A subspace's parity checks are read straight off its reduced basis, one check
-per non-pivot column (`_parity_checks`), and evaluated all at once as a
-syndrome (`_syndrome`).  A vector is a member when its syndrome is zero, and
-the intersection reduces the rows m of one basis as [syndrome(m) | m], with the
-checks of the other: the reduced rows whose check block is zero carry the meet
-in their right block.
+per non-pivot column, once per `Subspace` (`_parity_checks`), and evaluated
+all at once as a syndrome (`_syndrome`).  A vector is a member when its
+syndrome is zero, and the intersection reduces the rows m of one basis as
+[syndrome(m) | m], with the checks of the other: the reduced rows whose check
+block is zero carry the meet in their right block.
 
 The canonical form is checked once, at the public boundary: `Subspace(...)`
 re-reduces the basis it is given.  The producers here (`span`, sum and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import AmbientMismatch, DimensionMismatch, EnumerationTooLarge
@@ -63,6 +63,8 @@ class Subspace:
 
     ambient: AmbientId
     basis: FpMatrix
+    # the parity checks, stored by `_parity_checks` on first use
+    _checks: tuple[list, list] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.basis.p != self.ambient.p:
@@ -152,7 +154,19 @@ def _parity_checks(space: Subspace) -> tuple[list[int], list[tuple[int, list[int
     A reduced row's leading entry is its first 1, and its pivot column is zero
     in every other row, so for each non-pivot column j the check
     x -> x[j] - sum_i basis[i][j] * x[pivot_i] vanishes exactly on `space`.
+    They are read once per `Subspace` (`_read_parity_checks`) and stored on
+    it, outside its equality, hash and repr, as one CLOSED `dim` reads them
+    for inclusion-exclusion and again for the chain search.
     """
+    checks = space._checks
+    if checks is None:
+        checks = _read_parity_checks(space)
+        object.__setattr__(space, "_checks", checks)
+    return checks
+
+
+def _read_parity_checks(space: Subspace) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """The checks `_parity_checks` stores, read off the reduced basis."""
     basis = space.rows()
     pivots = [row.index(1) for row in basis]
     free = [j for j in range(space.ambient.n) if j not in pivots]

@@ -22,6 +22,8 @@ import json
 import os
 import random
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from multispace import (
@@ -81,7 +83,7 @@ def run_greedy(name: str, instance) -> tuple[int, str]:
     """The CLOSED greedy basis under a removal order seeded by the file name,
     or the refusal when a cap is exceeded, as the CLI's exit code (0 or 2)
     and a digest."""
-    closed = type(instance)(instance.components, OperationPolicy.CLOSED)
+    closed = replace(instance, policy=OperationPolicy.CLOSED)
     size = len(component_basis_vectors(closed))
     order = random.Random(name).sample(range(size), size)
     try:
@@ -91,27 +93,25 @@ def run_greedy(name: str, instance) -> tuple[int, str]:
     return code, _digest(["greedy_basis", name, order], result)
 
 
-def entries(directory: Path):
-    """(label, [exit code, digest]) for every entry of the corpus, writing its
-    instance files into `directory` and running there, so that no path but
-    the file name enters an argv."""
-    cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        for name, instance in instances():
-            Path(name).write_text(format_instance(instance) + "\n", encoding="utf-8")
-            for argv in commands(name):
-                yield " ".join(argv), list(run_command(argv))
-            yield f"greedy_basis {name}", list(run_greedy(name, instance))
-    finally:
-        os.chdir(cwd)
+def entries():
+    """(label, [exit code, digest]) for every entry of the corpus.  It writes
+    the instance files into the working directory and runs there, so that
+    no path but the file name enters an argv."""
+    for name, instance in instances():
+        Path(name).write_text(format_instance(instance) + "\n", encoding="utf-8")
+        for argv in commands(name):
+            yield " ".join(argv), list(run_command(argv))
+        yield f"greedy_basis {name}", list(run_greedy(name, instance))
 
 
 def main() -> int:
-    import tempfile
-
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        recorded = dict(entries(Path(tmp)))
+        os.chdir(tmp)
+        try:
+            recorded = dict(entries())
+        finally:
+            os.chdir(cwd)
     lines = ",\n".join(f"{json.dumps(label)}: {json.dumps(v)}" for label, v in recorded.items())
     CORPUS.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
     print(f"wrote {len(recorded)} entries to {CORPUS}", file=sys.stderr)

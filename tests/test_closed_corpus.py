@@ -12,10 +12,11 @@ import json
 from closed_corpus import CORPUS, entries
 
 
-def test_corpus_replays_unchanged(tmp_path):
+def test_corpus_replays_unchanged(tmp_path, monkeypatch):
     recorded = json.loads(CORPUS.read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
     replayed = {}
-    for label, result in entries(tmp_path):
+    for label, result in entries():
         assert result == recorded.get(label), f"first differing entry: {label}"
         replayed[label] = result
     assert replayed.keys() == recorded.keys()

@@ -45,10 +45,12 @@ from multispace import (
     zero_vector,
 )
 from multispace import core as core_module
+from multispace import subspace as subspace_module
 from multispace.cli import main as cli_main
 from multispace.fp import EchelonState
 from multispace.oracle import _chain_value, _component_sets
 from conftest import (
+    RankMembership,
     ReferenceChainSearch,
     brute_axiom_counts,
     brute_inclusion_exclusion,
@@ -675,7 +677,7 @@ class TestPackedSlots:
             expected = tuple((x + y) % p for x, y in zip(a, b))
             total = slots.add(slots.pack(a), slots.pack(b))
             assert total == slots.pack(expected)
-            assert slots.unpack(total) == expected
+            assert packed_coords(total, p, n) == expected
             assert (total == 0) == (not any(expected))
 
 
@@ -738,6 +740,57 @@ class TestPackedChainSearch:
         assert witnesses >= lists // 2
 
 
+def check_values(space: MultiVectorSpace, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """The values at coords of every parity check of every component of its
+    ambient, in component order: for each non-pivot column j of a reduced
+    basis, coords[j] - sum_r basis[r][j] * coords[pivot_r] mod p."""
+    p = space.components[0].ambient.p
+    values = []
+    for comp in space.components:
+        rows = comp.rows()
+        pivots = [row.index(1) for row in rows]
+        for j in range(len(coords)):
+            if j not in pivots:
+                terms = sum(row[j] * coords[piv] for piv, row in zip(pivots, rows))
+                values.append((coords[j] - terms) % p)
+    return tuple(values)
+
+
+class TestPackedCheckSlots:
+    """A packed chain state holds its accumulator and then every component's
+    check values, and a state's held mask is the set of components holding
+    its accumulator, along the removal sequences of `TestPackedChainSearch`."""
+
+    @pytest.mark.parametrize(
+        "p, lists", [(2, 100), (3, 100), (5, 60), (7, 60), (101, 30), (1009, 30)]
+    )
+    def test_slots_and_masks_follow_the_accumulator(self, p, lists):
+        rng = random.Random(1500 + p)
+        states = masks = 0
+        for _ in range(lists):
+            m, vectors = chain_search_list(rng, p)
+            n = vectors[0].ambient.n
+            slots = n + len(check_values(m, (0,) * n))
+            rank = RankMembership(m, vectors[0].ambient)
+            search = core_module._ChainSearch(m, vectors)
+            alive = list(range(len(vectors)))
+            while True:
+                witness = search.first_witness(alive)
+                packed = {acc for _, acc, _ in search._failed} | set(search._acc_masks)
+                for acc in packed:
+                    coords = packed_coords(acc, p, n)
+                    assert packed_coords(acc, p, slots) == coords + check_values(m, coords)
+                    assert acc >> slots * ((p - 1).bit_length() + 1) == 0
+                for acc, held in search._acc_masks.items():
+                    assert held == rank.mask(packed_coords(acc, p, n))
+                states += len(search._failed)
+                masks += len(search._acc_masks)
+                if witness is None:
+                    break
+                alive.remove(rng.choice([k for k, c in zip(alive, witness) if c]))
+        assert states >= lists and masks >= lists
+
+
 class TestClosedWitnessChecks:
     """At p = 7 and 101 most lists have too many coefficient tuples for the
     oracle, so each CLOSED witness is checked by `closed_chain_value`, which
@@ -783,6 +836,50 @@ class TestClosedWitnessChecks:
                     assert closed_chain_value(m, witness, listed) == (0,) * ambient.n
                     checked += 1
         assert checked >= 20
+
+
+class TestChecksReadOnce:
+    def test_inclusion_exclusion_and_greedy_basis_read_each_component_once(self, monkeypatch):
+        # counted where the checks are computed, not where they are asked for
+        computed = []
+        read = subspace_module._read_parity_checks
+
+        def counting_read(space):
+            computed.append(id(space))
+            return read(space)
+
+        monkeypatch.setattr(subspace_module, "_read_parity_checks", counting_read)
+        rng = random.Random(62)
+        several = 0
+        for _ in range(60):
+            m = random_one_ambient_instance(rng, CLOSED, max_dim=3, max_components=4)
+            computed.clear()
+            dim_inclusion_exclusion(m)
+            greedy_basis(m)
+            assert sorted(computed) == sorted(id(c) for c in m.components)
+            several += len(m.components) > 1
+        assert several >= 20
+
+
+class TestTrustedBasisVectors:
+    def test_component_basis_vectors_match_the_checked_construction(self):
+        rng = random.Random(63)
+        for _ in range(60):
+            ambients = [AmbientId(label, rng.choice([2, 3, 101]), rng.randint(0, 4)) for label in "AB"]
+            comps = tuple(random_subspace(rng, rng.choice(ambients)) for _ in range(rng.randint(1, 4)))
+            m = MultiVectorSpace(comps, rng.choice([TOTAL, CLOSED]))
+            checked = [TaggedVector(c.ambient, row) for c in comps for row in c.rows()]
+            trusted = component_basis_vectors(m)
+            assert trusted == checked
+            assert [hash(v) for v in trusted] == [hash(v) for v in checked]
+            assert [repr(v) for v in trusted] == [repr(v) for v in checked]
+
+    @pytest.mark.parametrize(
+        "coords", [(0, 2, 3), (0, -1, 1), (0, 1), (0, 1, 1, 0), [0, 1, 1], (0, 1, True), (0, 1.0, 1)]
+    )
+    def test_malformed_public_vector_still_raises(self, coords):
+        with pytest.raises(ValueError):
+            TaggedVector(AmbientId("A", 3, 3), coords)
 
 
 class TestBasisInvariance:

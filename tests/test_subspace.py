@@ -247,6 +247,39 @@ class TestAgainstZassenhaus:
                 assert meet == a == b == a.sum(b)
 
 
+class TestStoredParityChecks:
+    """`_parity_checks` stores its result on the `Subspace`; the store is not
+    part of the value, and every answer read through it stays the same."""
+
+    def test_read_subspace_is_a_fresh_copy_by_value(self):
+        rng = random.Random(71)
+        for _ in range(100):
+            ambient = AmbientId("A", rng.choice([2, 3, 101]), rng.randint(0, 5))
+            s = random_subspace(rng, ambient)
+            checks = subspace_module._parity_checks(s)
+            assert subspace_module._parity_checks(s) is checks
+            fresh = Subspace(ambient, s.basis)
+            assert s == fresh and fresh == s
+            assert hash(s) == hash(fresh)
+            assert repr(s) == repr(fresh)
+            assert subspace_module._parity_checks(fresh) == checks
+
+    def test_contains_and_intersect_answer_as_before(self):
+        # each question is asked before and after the checks are stored, and
+        # against the enumerated points
+        rng = random.Random(72)
+        for _ in range(150):
+            ambient = AmbientId("A", rng.choice([2, 3]), rng.randint(1, 4))
+            a, b = random_subspace(rng, ambient), random_subspace(rng, ambient)
+            pa, pb = brute_points(a), brute_points(b)
+            vectors = list(product(range(ambient.p), repeat=ambient.n))
+            for _ in range(2):
+                assert [a.contains(v) for v in vectors] == [v in pa for v in vectors]
+                assert brute_points(a.intersect(b)) == pa & pb
+                assert brute_points(b.intersect(a)) == pa & pb
+                assert a.intersect(b) == b.intersect(a) == zassenhaus(a, b)[1]
+
+
 class TestEquality:
     def test_different_generators_same_space(self):
         assert line_space(GF2_PLANE, (1, 1), (1, 0)) == line_space(GF2_PLANE, (1, 0), (0, 1))
